@@ -569,6 +569,18 @@ module Make (T : Sigs.TOPK) = struct
     if w.w_log_len > 0 then w.w_log.(w.w_log_len - 1).Log.seq
     else List.fold_left (fun a r -> max a r.r_seq) 0 w.w_runs
 
+  (* Newest wins: an id is overridden when the pinned log replay holds
+     any op for it, or a strictly newer run holds it live or carries a
+     tombstone for it.  The one visibility rule of a pinned view; the
+     read path applies it per candidate, so a query never copies a
+     run's tables. *)
+  let rec overridden ~latest ~newer id =
+    match newer with
+    | [] -> Hashtbl.mem latest id
+    | r :: rest ->
+        Hashtbl.mem r.r_ids id || Hashtbl.mem r.r_dead id
+        || overridden ~latest ~newer:rest id
+
   let query_view w q ~k =
     if k <= 0 then []
     else begin
@@ -591,38 +603,31 @@ module Make (T : Sigs.TOPK) = struct
                | _ -> acc)
              latest [])
       in
-      let killed = Hashtbl.create 64 in
-      Hashtbl.iter (fun i _ -> Hashtbl.replace killed i ()) latest;
-      (* Runs newest -> oldest: each answers an exact top-k' staged
-         until k visible elements survive the newer sources' overrides
-         (or the run is exhausted), then contributes its overrides. *)
-      let legs = ref [ log_top ] in
-      List.iter
-        (fun r ->
-          let leg =
-            if Array.length r.r_elems = 0 then []
-            else begin
-              let rec staged k' =
-                let ans = T.query r.r_topk q ~k:k' in
-                let live =
-                  List.filter
-                    (fun e -> not (Hashtbl.mem killed (P.id e)))
-                    ans
+      (* Runs newest -> oldest, [newer] the runs already visited: each
+         answers an exact top-k' staged until k of its candidates pass
+         the override check (or the run is exhausted). *)
+      let rec legs newer acc = function
+        | [] -> acc
+        | r :: older ->
+            let leg =
+              if Array.length r.r_elems = 0 then []
+              else begin
+                let visible e = not (overridden ~latest ~newer (P.id e)) in
+                let rec staged k' =
+                  let ans = T.query r.r_topk q ~k:k' in
+                  let live = List.filter visible ans in
+                  if List.length live >= k || List.length ans < k' then
+                    W.top_k k live
+                  else staged (2 * k')
                 in
-                if List.length live >= k || List.length ans < k' then
-                  W.top_k k live
-                else staged (2 * k')
-              in
-              staged k
-            end
-          in
-          legs := leg :: !legs;
-          Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_ids;
-          Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_dead)
-        w.w_runs;
+                staged k
+              end
+            in
+            legs (r :: newer) (leg :: acc) older
+      in
       (* The one charged k-way gather over every source's certified
          leg. *)
-      Gather.merge ~cmp:W.compare ~k !legs
+      Gather.merge ~cmp:W.compare ~k (legs [] [ log_top ] w.w_runs)
     end
 
   let query t q ~k =
@@ -635,28 +640,27 @@ module Make (T : Sigs.TOPK) = struct
     end
 
   (* Uncharged diagnostic: the surviving element set of a pinned view,
-     computed by a straight replay — the oracle the ingest bench (and
-     the conformance law) compares answers against. *)
+     computed by a straight replay under the same override rule — the
+     oracle the ingest bench (and the conformance law) compares answers
+     against. *)
   let view_live w =
     let latest = Log.replay ~id:P.id w.w_log w.w_log_len in
-    let killed = Hashtbl.create 64 in
-    Hashtbl.iter (fun i _ -> Hashtbl.replace killed i ()) latest;
-    let out =
-      ref
-        (Hashtbl.fold
-           (fun _ v acc -> match v with Some e -> e :: acc | None -> acc)
-           latest [])
+    let rec go newer acc = function
+      | [] -> acc
+      | r :: older ->
+          let acc =
+            Array.fold_left
+              (fun acc e ->
+                if overridden ~latest ~newer (P.id e) then acc else e :: acc)
+              acc r.r_elems
+          in
+          go (r :: newer) acc older
     in
-    List.iter
-      (fun r ->
-        Array.iter
-          (fun e ->
-            if not (Hashtbl.mem killed (P.id e)) then out := e :: !out)
-          r.r_elems;
-        Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_ids;
-        Hashtbl.iter (fun i () -> Hashtbl.replace killed i ()) r.r_dead)
-      w.w_runs;
-    !out
+    go []
+      (Hashtbl.fold
+         (fun _ v acc -> match v with Some e -> e :: acc | None -> acc)
+         latest [])
+      w.w_runs
 
   (* ---- freeze ---- *)
 

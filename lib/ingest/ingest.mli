@@ -27,6 +27,9 @@
     replay the log (naive scan, EM-charged), answer each run exactly
     (staged doubling past newer sources' overrides), and join
     everything with the certified k-way {!Topk_shard.Gather.merge}.
+    Overrides are checked per candidate against the log replay and
+    the strictly newer runs' id and tombstone tables, so the uncharged
+    work is O(runs × candidates), independent of n.
     Readers never block on compaction and never observe a torn level
     set; superseded level sets are reclaimed when their last reader
     unpins.

@@ -23,4 +23,13 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
+val min_exn : 'a t -> 'a
+(** As {!peek}, without allocating an option.
+    @raise Invalid_argument on an empty heap. *)
+
+val replace_min : 'a t -> 'a -> unit
+(** [replace_min t x] removes the minimum and inserts [x] in one
+    O(log n) sift, without allocating.
+    @raise Invalid_argument on an empty heap. *)
+
 val to_list_unordered : 'a t -> 'a list

@@ -35,12 +35,16 @@ let rec select_rec ~pick ~cmp arr lo hi i =
     else arr.(i)
   end
 
-let default_rng = Rng.create 0x5e1ec7
+(* One pivot stream per domain, each seeded with the same constant: a
+   build running on a worker domain never races the caller's stream. *)
+let default_rng = Domain.DLS.new_key (fun () -> Rng.create 0x5e1ec7)
 
 let quickselect ?rng ~cmp arr i =
   let n = Array.length arr in
   if i < 0 || i >= n then invalid_arg "Select.quickselect: rank out of bounds";
-  let rng = match rng with Some r -> r | None -> default_rng in
+  let rng =
+    match rng with Some r -> r | None -> Domain.DLS.get default_rng
+  in
   let pick _ lo hi = lo + Rng.int rng (hi - lo + 1) in
   select_rec ~pick ~cmp arr 0 (n - 1) i
 
@@ -96,21 +100,23 @@ let nth_largest ~cmp arr r =
   if r < 1 || r > n then invalid_arg "Select.nth_largest: rank out of bounds";
   quickselect ~cmp arr (n - r)
 
-let top_k_array ~cmp k arr =
-  let n = Array.length arr in
+(* One pass through a min-heap of at most [k] elements: its minimum is
+   the smallest of the k largest seen so far, the one a larger newcomer
+   replaces.  Popping the survivors smallest first and consing each
+   yields them sorted descending. *)
+let top_k_iter ~cmp k iter =
   if k <= 0 then []
-  else if n <= k then begin
-    let sorted = Array.copy arr in
-    Array.sort (fun a b -> cmp b a) sorted;
-    Array.to_list sorted
-  end
   else begin
-    let work = Array.copy arr in
-    (* Pivot the k-th largest into place, then sort only the top part. *)
-    ignore (quickselect ~cmp work (n - k));
-    let top = Array.sub work (n - k) k in
-    Array.sort (fun a b -> cmp b a) top;
-    Array.to_list top
+    let heap = Heap.create ~cmp () in
+    iter (fun x ->
+        if Heap.length heap < k then Heap.push heap x
+        else if cmp x (Heap.min_exn heap) > 0 then Heap.replace_min heap x);
+    let rec drain acc =
+      if Heap.is_empty heap then acc else drain (Heap.pop_exn heap :: acc)
+    in
+    drain []
   end
 
-let top_k ~cmp k xs = top_k_array ~cmp k (Array.of_list xs)
+let top_k_array ~cmp k arr = top_k_iter ~cmp k (fun f -> Array.iter f arr)
+
+let top_k ~cmp k xs = top_k_iter ~cmp k (fun f -> List.iter f xs)

@@ -1,13 +1,16 @@
 (** k-selection, the workhorse the paper invokes as "k-selection [8]":
-    from an unordered batch of candidates, extract the [k] largest in
-    linear time.  Also order statistics (quickselect and the
-    deterministic median-of-medians). *)
+    from an unordered batch of candidates, extract the [k] largest.
+    Also order statistics (quickselect and the deterministic
+    median-of-medians). *)
 
 val top_k : cmp:('a -> 'a -> int) -> int -> 'a list -> 'a list
 (** [top_k ~cmp k xs] is the [k] largest elements of [xs] under [cmp],
     sorted descending.  Returns all of [xs] sorted descending when
-    [length xs <= k].  Expected O(|xs| + k log k) via quickselect on an
-    internal RNG seeded deterministically. *)
+    [length xs <= k], and [[]] when [k <= 0].  One pass over [xs]
+    through a k-bounded min-heap, then the k survivors are popped in
+    order: O(|xs| log k) time, O(min(k, |xs|)) space, no allocation per
+    element and no RNG.  Under a strict total order the result is
+    determined by the input set alone. *)
 
 val top_k_array : cmp:('a -> 'a -> int) -> int -> 'a array -> 'a list
 (** As {!top_k}; the input array is not modified. *)
@@ -15,8 +18,9 @@ val top_k_array : cmp:('a -> 'a -> int) -> int -> 'a array -> 'a list
 val quickselect : ?rng:Rng.t -> cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** [quickselect ~cmp arr i] is the element of rank [i] (0-based, from
     the smallest under [cmp]); expected linear time.  The array is
-    permuted in place.  @raise Invalid_argument if [i] is out of
-    bounds. *)
+    permuted in place.  Without [~rng] the pivots come from a stream
+    local to the calling domain, seeded with a fixed constant.
+    @raise Invalid_argument if [i] is out of bounds. *)
 
 val median_of_medians : cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
 (** Deterministic worst-case linear selection of rank [i] (0-based,

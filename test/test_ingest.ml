@@ -336,6 +336,71 @@ let test_ingest_snapshot_isolation () =
   Ing.unpin w (* idempotent *);
   Alcotest.(check int) "lag clears on unpin" 0 (Ing.epoch_lag ing)
 
+(* Shadowing across several live runs and the log, on one pinned view:
+   the per-candidate override check must agree with the straight
+   replay of [view_live] wherever an id is killed, revived or deleted
+   only in the unsealed log. *)
+let test_ingest_multi_run_shadowing () =
+  let rng = Rng.create 423 in
+  let full ~id ~weight = I.make ~id ~lo:0.0 ~hi:1.2 ~weight () in
+  (* Full-span heavy base elements top every stab point, so a missed
+     override shows at every k. *)
+  let base =
+    Array.init 40 (fun i ->
+        match i + 1 with
+        | 5 -> full ~id:5 ~weight:1e6
+        | 9 -> full ~id:9 ~weight:9e5
+        | id -> random_interval rng id)
+  in
+  (* cap 4, fanout 8: every fourth op seals a level-0 run and no merge
+     fires, so the three runs below stay unmerged above the base. *)
+  let ing = Ing.create ~params:iparams ~buffer_cap:4 ~fanout:8 base in
+  (* Run 1: tombstone id 5. *)
+  Ing.delete ing base.(4);
+  for id = 100 to 102 do
+    Ing.insert ing (random_interval rng id)
+  done;
+  (* Run 2: re-insert id 5 with a new weight. *)
+  Ing.insert ing (full ~id:5 ~weight:5e5);
+  for id = 103 to 105 do
+    Ing.insert ing (random_interval rng id)
+  done;
+  (* Run 3: plain inserts, one heavy. *)
+  Ing.insert ing (full ~id:106 ~weight:7e5);
+  for id = 107 to 109 do
+    Ing.insert ing (random_interval rng id)
+  done;
+  (* Unsealed log: id 9 is deleted only here. *)
+  Ing.delete ing base.(8);
+  Ing.insert ing (random_interval rng 110);
+  let w = Ing.pin ing in
+  Fun.protect
+    ~finally:(fun () -> Ing.unpin w)
+    (fun () ->
+      Alcotest.(check int) "three runs above the base" 4 (Ing.view_runs w);
+      let live = Ing.view_live w in
+      let weight_of id =
+        List.find_map
+          (fun (e : I.t) -> if e.I.id = id then Some e.I.weight else None)
+          live
+      in
+      Alcotest.(check (option (float 0.))) "id 5 revived at its new weight"
+        (Some 5e5) (weight_of 5);
+      Alcotest.(check (option (float 0.))) "id 9 deleted by the log" None
+        (weight_of 9);
+      let model = Model.create () in
+      List.iter (Model.insert model) live;
+      for i = 0 to 24 do
+        let q = float_of_int i *. 0.05 in
+        List.iter
+          (fun k ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "query_view = view_live top-k at q=%.2f k=%d" q k)
+              (ids (Model.top_k model q ~k))
+              (ids (Ing.query_view w q ~k)))
+          [ 1; 3; 10 ]
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Ingest on the worker pool: background merges, crash, accounting     *)
 
@@ -535,6 +600,8 @@ let () =
             test_ingest_delete_to_empty_and_purge;
           Alcotest.test_case "re-insert tombstoned id" `Quick
             test_ingest_reinsert_tombstoned_id;
+          Alcotest.test_case "multi-run shadowing" `Quick
+            test_ingest_multi_run_shadowing;
           Alcotest.test_case "snapshot isolation" `Quick
             test_ingest_snapshot_isolation;
           Alcotest.test_case "pool + crash" `Slow test_ingest_pool_with_crash;

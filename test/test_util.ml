@@ -182,6 +182,10 @@ let test_heap_push_pop_interleaved () =
   Heap.push h 0;
   Alcotest.(check (option int)) "new min" (Some 0) (Heap.pop h);
   Alcotest.(check int) "length" 2 (Heap.length h);
+  Alcotest.(check int) "min_exn" 3 (Heap.min_exn h);
+  Heap.replace_min h 9;
+  Alcotest.(check int) "replace_min sifts down" 5 (Heap.min_exn h);
+  Alcotest.(check int) "replace_min keeps length" 2 (Heap.length h);
   Alcotest.check_raises "pop_exn on empty"
     (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
       ignore (Heap.pop_exn h);
@@ -246,6 +250,37 @@ let prop_top_k_matches_sort =
         |> List.filteri (fun i _ -> i < k)
       in
       Select.top_k ~cmp:Int.compare k xs = expected)
+
+(* Small values force duplicates; [pick] lands k on the edge ranks
+   k <= 0, 1, n - 1, n and n + 5 as well as a random one. *)
+let prop_top_k_edge_ranks =
+  QCheck.Test.make ~count:500
+    ~name:"top_k and top_k_array equal sort-take at edge ranks"
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 300) (int_bound 25))
+        (int_range 0 6) small_nat)
+    (fun (xs, pick, r) ->
+      let n = List.length xs in
+      let k =
+        match pick with
+        | 0 -> -1 - r
+        | 1 -> 0
+        | 2 -> 1
+        | 3 -> n - 1
+        | 4 -> n
+        | 5 -> n + 5
+        | _ -> r
+      in
+      let expected =
+        List.sort (fun a b -> Int.compare b a) xs
+        |> List.filteri (fun i _ -> i < k)
+      in
+      let arr = Array.of_list xs in
+      let before = Array.copy arr in
+      Select.top_k ~cmp:Int.compare k xs = expected
+      && Select.top_k_array ~cmp:Int.compare k arr = expected
+      && arr = before)
 
 (* --- Search --- *)
 
@@ -351,6 +386,7 @@ let () =
           Alcotest.test_case "top_k" `Quick test_top_k;
           Alcotest.test_case "nth_largest" `Quick test_nth_largest;
           QCheck_alcotest.to_alcotest prop_top_k_matches_sort;
+          QCheck_alcotest.to_alcotest prop_top_k_edge_ranks;
         ] );
       ( "search",
         [
