@@ -11,7 +11,6 @@
 
 module Rng = Topk_util.Rng
 module Gen = Topk_util.Gen
-module Interval = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module SS =
   Topk_shard.Shard_set.Make (Inst.Topk_t2) (Topk_interval.Slab_max)
@@ -19,20 +18,12 @@ module Planner = Topk_shard.Planner.Make (SS)
 module Partitioner = Topk_shard.Partitioner
 module P = Topk_interval.Problem
 
-let random_intervals ~seed ~n =
-  let rng = Rng.create seed in
-  Interval.of_spans rng (Gen.intervals rng ~shape:Gen.Mixed_intervals ~n)
-
-let random_queries ~seed ~n =
-  let rng = Rng.create seed in
-  Gen.stab_queries rng ~n
-
 let run () =
   Table.section "E17: sharded planner with max-query pruning";
   let n = if !Workloads.quick then 16_384 else 65_536 in
   let k = 100 in
-  let elems = random_intervals ~seed:170_001 ~n in
-  let queries = random_queries ~seed:170_002 ~n:40 in
+  let elems = Workloads.intervals ~seed:170_001 ~shape:Gen.Mixed_intervals ~n in
+  let queries = Gen.stab_queries (Rng.create 170_002) ~n:40 in
   let params = Inst.params () in
   let flat =
     Topk_em.Config.with_model Workloads.em_model (fun () ->

@@ -31,7 +31,6 @@
 
 module Rng = Topk_util.Rng
 module Gen = Topk_util.Gen
-module Interval = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module SS = Topk_shard.Shard_set.Make (Inst.Topk_t2) (Topk_interval.Slab_max)
 module Planner = Topk_shard.Planner.Make (SS)
@@ -39,22 +38,13 @@ module Partitioner = Topk_shard.Partitioner
 module P = Topk_interval.Problem
 module Tr = Topk_trace.Trace
 
-let random_intervals ~seed ~n =
-  let rng = Rng.create seed in
-  Interval.of_spans rng (Gen.intervals rng ~shape:Gen.Mixed_intervals ~n)
-
-let random_queries ~seed ~n =
-  let rng = Rng.create seed in
-  Gen.stab_queries rng ~n
-
 let time_batch f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Topk_scenario.Clock.now () in
   f ();
-  Unix.gettimeofday () -. t0
+  Topk_scenario.Clock.since t0
 
-let median l =
-  let s = List.sort Float.compare l in
-  List.nth s (List.length s / 2)
+(* [reps] is odd, so this is the middle element. *)
+let median = Topk_scenario.Check.percentile 0.5
 
 (* Median baseline and median paired (on - off) difference, seconds
    per pass.  [set_on] flips tracing on however the configuration
@@ -94,8 +84,8 @@ let run () =
   let k = 1000 in
   let nq = if !Workloads.quick then 50 else 100 in
   let reps = if !Workloads.quick then 21 else 25 in
-  let elems = random_intervals ~seed:180_001 ~n in
-  let queries = random_queries ~seed:180_002 ~n:nq in
+  let elems = Workloads.intervals ~seed:180_001 ~shape:Gen.Mixed_intervals ~n in
+  let queries = Gen.stab_queries (Rng.create 180_002) ~n:nq in
   let params = Inst.params () in
   let set =
     Topk_em.Config.with_model Workloads.em_model (fun () ->

@@ -19,25 +19,17 @@
    Dynamic cost model certifies. *)
 
 module Rng = Topk_util.Rng
-module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module Ing = Topk_ingest.Ingest.Make (Inst.Topk_t2)
 module Stats = Topk_em.Stats
 
-let now () = Unix.gettimeofday ()
-
-let random_interval rng id =
-  let lo = Rng.uniform rng in
-  let len = Rng.float rng (1. -. lo) in
-  I.make ~id ~lo ~hi:(lo +. len)
-    ~weight:(float_of_int id +. Rng.float rng 0.4)
-    ()
+module Clock = Topk_scenario.Clock
 
 (* Stream [updates] mixed ops (2/3 insert, 1/3 delete-a-live-id) and
    return (us/op, ios/op) with compaction included. *)
 let churn rng t ~first_id ~updates =
   let live = ref [] and n_live = ref 0 in
-  let t0 = now () in
+  let t0 = Clock.now () in
   let (), cost =
     Stats.measure (fun () ->
         for i = 1 to updates do
@@ -50,14 +42,14 @@ let churn rng t ~first_id ~updates =
             | [] -> ()
           end
           else begin
-            let e = random_interval rng (first_id + i) in
+            let e = Workloads.elem rng (first_id + i) in
             live := e :: !live;
             incr n_live;
             Ing.insert t e
           end
         done)
   in
-  let us = (now () -. t0) *. 1e6 /. float_of_int updates in
+  let us = Clock.since t0 *. 1e6 /. float_of_int updates in
   (us, float_of_int cost.Stats.ios /. float_of_int updates)
 
 let run () =
@@ -68,7 +60,7 @@ let run () =
     (fun n ->
       let rng = Rng.create (190_000 + n) in
       Topk_em.Config.with_model Workloads.em_model (fun () ->
-          let base = Array.init n (fun i -> random_interval rng (i + 1)) in
+          let base = Array.init n (fun i -> Workloads.elem rng (i + 1)) in
           let t = Ing.create ~params:(Inst.params ()) ~buffer_cap:256 base in
           let us, ios = churn rng t ~first_id:n ~updates:n in
           let queries = Workloads.stab_queries ~seed:n ~n:50 in
@@ -108,7 +100,7 @@ let run () =
     (fun cap ->
       let rng = Rng.create (191_000 + cap) in
       Topk_em.Config.with_model Workloads.em_model (fun () ->
-          let base = Array.init n (fun i -> random_interval rng (i + 1)) in
+          let base = Array.init n (fun i -> Workloads.elem rng (i + 1)) in
           let t = Ing.create ~params:(Inst.params ()) ~buffer_cap:cap base in
           let _us, ios = churn rng t ~first_id:n ~updates:n in
           let queries = Workloads.stab_queries ~seed:cap ~n:50 in

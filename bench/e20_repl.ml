@@ -17,30 +17,18 @@
      frames when a loss rewinds the cursor. *)
 
 module Rng = Topk_util.Rng
-module I = Topk_interval.Interval
 module Inst = Topk_interval.Instances
 module G = Topk_repl.Group.Make (Inst.Topk_t2)
 module Transport = Topk_repl.Transport
 module Metrics = Topk_service.Metrics
 
-let now () = Unix.gettimeofday ()
-
-let random_interval rng id =
-  let lo = Rng.uniform rng in
-  let len = Rng.float rng (1. -. lo) in
-  I.make ~id ~lo ~hi:(lo +. len)
-    ~weight:(float_of_int id +. Rng.float rng 0.4)
-    ()
+module Clock = Topk_scenario.Clock
 
 (* Stream [updates] inserts through the group, pumping as we go. *)
 let stream rng g ~first_id ~updates =
-  let lagged = ref 0 and max_lag = ref 0 in
   for i = 1 to updates do
-    let e = random_interval rng (first_id + i) in
-    if not (G.synced (G.insert g e)) then incr lagged;
-    if G.lag g > !max_lag then max_lag := G.lag g
-  done;
-  (!lagged, !max_lag)
+    ignore (G.insert g (Workloads.elem rng (first_id + i)))
+  done
 
 let run () =
   Table.section
@@ -56,22 +44,22 @@ let run () =
     (fun replicas ->
       let rng = Rng.create (200_000 + replicas) in
       Topk_em.Config.with_model Workloads.em_model (fun () ->
-          let base = Array.init n (fun i -> random_interval rng (i + 1)) in
+          let base = Array.init n (fun i -> Workloads.elem rng (i + 1)) in
           let metrics = Metrics.create () in
           let g =
             G.create ~params:(Inst.params ()) ~buffer_cap:256 ~metrics
               ~name:"e20" ~replicas base
           in
-          let _lagged, _max_lag = stream rng g ~first_id:n ~updates in
+          stream rng g ~first_id:n ~updates;
           assert (G.settle g);
           let q_ios =
             Workloads.per_query_ios
               (fun q -> ignore (G.read g q ~k:10))
               queries
           in
-          let t0 = now () in
+          let t0 = Clock.now () in
           Array.iter (fun q -> ignore (G.read g q ~k:10)) queries;
-          let us = (now () -. t0) *. 1e6 /. float_of_int (Array.length queries) in
+          let us = Clock.since t0 *. 1e6 /. float_of_int (Array.length queries) in
           let shipped = Metrics.Counter.get metrics.Metrics.repl_frames_shipped in
           rows :=
             [ Table.fi replicas;
@@ -108,7 +96,7 @@ let run () =
     (fun window ->
       let rng = Rng.create (201_000 + window) in
       Topk_em.Config.with_model Workloads.em_model (fun () ->
-          let base = Array.init n (fun i -> random_interval rng (i + 1)) in
+          let base = Array.init n (fun i -> Workloads.elem rng (i + 1)) in
           let metrics = Metrics.create () in
           (* Pure loss, deterministic one-tick delivery: delay-induced
              reordering would discard-and-rto on every gap regardless
@@ -121,7 +109,7 @@ let run () =
           in
           let max_lag = ref 0 in
           for i = 1 to updates do
-            ignore (G.insert g (random_interval rng (n + i)));
+            ignore (G.insert g (Workloads.elem rng (n + i)));
             G.step g;
             if G.lag g > !max_lag then max_lag := G.lag g
           done;

@@ -23,120 +23,43 @@
    makespan); both runs of a configuration replay the identical
    seeded schedule. *)
 
-module Rng = Topk_util.Rng
-module I = Topk_interval.Interval
-module Inst = Topk_interval.Instances
-module Ing = Topk_ingest.Ingest.Make (Inst.Topk_t2)
-module Svc = Topk_service
-module Lane = Topk_service.Lane
-module Sched = Topk_service.Sched
-module Metrics = Topk_service.Metrics
+module Sched_pass = Topk_scenario.Sched_pass
+module Check = Topk_scenario.Check
 
-(* Strictly increasing distinct weights keep the top-k unique. *)
-let mk_elem rng id =
-  let lo = Rng.uniform rng in
-  let hi = Float.min 1.0 (lo +. 0.02 +. (0.3 *. Rng.uniform rng)) in
-  I.make ~id ~lo ~hi
-    ~weight:(float_of_int id +. (0.5 *. Rng.uniform rng))
-    ()
-
-let percentile p latencies =
-  let a = Array.of_list latencies in
-  Array.sort Float.compare a;
-  let len = Array.length a in
-  a.(max 0 (int_of_float (ceil (p *. float_of_int len)) - 1))
-
-(* One pass over the seeded schedule: per round, apply the updates,
-   flood the batch lane, keep the maintenance heartbeat alive, then
-   issue the Zipf query stream serially.  Returns interactive
-   (p99, p50) in ms plus merge count and the maintenance lane's max
-   dispatch-round wait. *)
-let run_pass ~unified ~n ~rounds ~qpr ~upr ~storm ~storm_ms ~seed =
-  let distinct = 16 and theta = 1.2 in
-  let lanes_cfg =
-    if unified then Sched.unified_config () else Sched.default_config ()
+(* Both passes of one configuration over the identical seeded schedule
+   (see {!Sched_pass}): per round, apply the insert-only updates, flood
+   the batch lane, keep the maintenance heartbeat alive, then issue the
+   Zipf query stream serially.  One worker: the single "server core"
+   model — background work that reaches the worker steals it outright,
+   so what's measured is purely which queued job the scheduler hands
+   over next.  Returns the unified pass's merge count and the cells
+   both tables share: p50/p99 in ms per policy, the p99 gain and the
+   maintenance lane's max dispatch-round wait under lanes. *)
+let compare_passes ~n ~rounds ~qpr ~upr ~storm ~storm_ms ~seed =
+  let pass unified =
+    let r =
+      Topk_em.Config.with_model Workloads.em_model (fun () ->
+          Sched_pass.run ~unified ~n ~k:10 ~seed ~rounds ~qpr ~upr ~storm
+            ~storm_ms ~distinct:16 ~theta:1.2 ~workers:1 ~buffer_cap:128
+            ~fanout:4 ~insert_ratio:1.0)
+    in
+    if r.Sched_pass.mismatched > 0 then
+      failwith
+        (Printf.sprintf "e21: %d %s-pass answers disagree with the oracle"
+           r.Sched_pass.mismatched r.Sched_pass.label);
+    ( Check.percentile 0.99 r.Sched_pass.latencies *. 1e3,
+      Check.percentile 0.50 r.Sched_pass.latencies *. 1e3,
+      r )
   in
-  (* One worker: the single "server core" model — background work that
-     reaches the worker steals it outright, so what's measured is
-     purely which queued job the scheduler hands over next. *)
-  let pool = Svc.Executor.create ~workers:1 ~batch_max:1 ~lanes:lanes_cfg () in
-  let m = Svc.Executor.metrics pool in
-  let rng = Rng.create seed in
-  let qpool =
-    let qrng = Rng.create (seed lxor 0x51f3) in
-    Array.init distinct (fun _ -> Rng.uniform qrng)
-  in
-  let zipf_cum =
-    let c = Array.make distinct 0.0 in
-    let acc = ref 0.0 in
-    for r = 0 to distinct - 1 do
-      acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) theta);
-      c.(r) <- !acc
-    done;
-    c
-  in
-  let zipf () =
-    let u = Rng.uniform rng *. zipf_cum.(distinct - 1) in
-    let i = ref 0 in
-    while !i < distinct - 1 && zipf_cum.(!i) < u do
-      incr i
-    done;
-    !i
-  in
-  let base = Array.init n (fun i -> mk_elem rng (i + 1)) in
-  let t = Ing.create ~params:(Inst.params ()) ~buffer_cap:128 ~pool base in
-  let next_id = ref (n + 1) in
-  let spin () =
-    let stop = Unix.gettimeofday () +. (storm_ms /. 1e3) in
-    while Unix.gettimeofday () < stop do
-      ignore (Sys.opaque_identity ())
-    done
-  in
-  (* Warm the pool (domain spawn is ms-scale) so startup doesn't land
-     on the first measured queries. *)
-  ignore
-    (Svc.Future.await
-       (Svc.Executor.submit_task pool ~lane:Lane.Interactive ~name:"warmup"
-          (fun () -> ()))
-      : unit Svc.Response.t);
-  let latencies = ref [] in
-  for _round = 1 to rounds do
-    for _ = 1 to upr do
-      let e = mk_elem rng !next_id in
-      incr next_id;
-      Ing.insert t e
-    done;
-    for _ = 1 to storm do
-      ignore
-        (Svc.Executor.submit_task pool ~name:"storm" spin
-          : unit Svc.Response.t Svc.Future.t)
-    done;
-    ignore
-      (Svc.Executor.submit_task pool ~lane:Lane.Maintenance ~name:"beat"
-         (fun () -> ())
-        : unit Svc.Response.t Svc.Future.t);
-    for _ = 1 to qpr do
-      let q = qpool.(zipf ()) in
-      let fut =
-        Svc.Executor.submit_task pool ~lane:Lane.Interactive ~name:"query"
-          (fun () -> ignore (Ing.query t q ~k:10 : I.t list))
-      in
-      let r = Svc.Future.await fut in
-      latencies := r.Svc.Response.latency :: !latencies
-    done
-  done;
-  Ing.freeze t;
-  Svc.Executor.drain pool;
-  let merges = Metrics.Counter.get m.Metrics.merges in
-  let maint_wait =
-    Metrics.Histogram.max_value
-      m.Metrics.lane_wait_rounds.(Lane.index Lane.Maintenance)
-  in
-  Svc.Executor.shutdown pool;
-  ( percentile 0.99 !latencies *. 1e3,
-    percentile 0.50 !latencies *. 1e3,
-    merges,
-    maint_wait )
+  let p99u, p50u, u = pass true in
+  let p99l, p50l, l = pass false in
+  ( u.Sched_pass.merges,
+    [ Table.ff ~d:2 p50u;
+      Table.ff ~d:2 p99u;
+      Table.ff ~d:2 p50l;
+      Table.ff ~d:2 p99l;
+      Table.fx ~d:2 (p99u /. Float.max 1e-9 p99l);
+      Table.fi l.Sched_pass.maint_wait ] )
 
 let run () =
   Table.section
@@ -148,31 +71,16 @@ let run () =
 
   (* Interactive p99 vs merge rate: the batch work is the real level
      merges forced by the update stream, nothing synthetic. *)
-  let rows = ref [] in
-  List.iter
-    (fun upr ->
-      let seed = 210_000 + upr in
-      let p99u, p50u, merges, _ =
-        Topk_em.Config.with_model Workloads.em_model (fun () ->
-            run_pass ~unified:true ~n ~rounds ~qpr ~upr ~storm:0 ~storm_ms:0.
-              ~seed)
-      in
-      let p99l, p50l, _, maint_wait =
-        Topk_em.Config.with_model Workloads.em_model (fun () ->
-            run_pass ~unified:false ~n ~rounds ~qpr ~upr ~storm:0 ~storm_ms:0.
-              ~seed)
-      in
-      rows :=
-        [ Table.fi upr;
-          Table.fi merges;
-          Table.ff ~d:2 p50u;
-          Table.ff ~d:2 p99u;
-          Table.ff ~d:2 p50l;
-          Table.ff ~d:2 p99l;
-          Table.fx ~d:2 (p99u /. Float.max 1e-9 p99l);
-          Table.fi maint_wait ]
-        :: !rows)
-    [ 0; 80; 160; 320; 640 ];
+  let rows =
+    List.map
+      (fun upr ->
+        let merges, cells =
+          compare_passes ~n ~rounds ~qpr ~upr ~storm:0 ~storm_ms:0.
+            ~seed:(210_000 + upr)
+        in
+        Table.fi upr :: Table.fi merges :: cells)
+      [ 0; 80; 160; 320; 640 ]
+  in
   Table.print
     ~title:
       (Printf.sprintf
@@ -182,7 +90,7 @@ let run () =
     ~header:
       [ "upd/round"; "merges"; "uni p50"; "uni p99"; "iso p50"; "iso p99";
         "p99 gain"; "maint wait" ]
-    (List.rev !rows);
+    rows;
   Table.note
     "Claim: as the merge rate grows the unified tail inflates (a query \
      can queue behind every merge ahead of it) while isolation holds it \
@@ -195,30 +103,16 @@ let run () =
   (* Interactive p99 vs storm intensity at a fixed merge rate: the
      batch lane is flooded with synthetic 3ms busy tasks. *)
   let upr = 160 in
-  let rows = ref [] in
-  List.iter
-    (fun storm ->
-      let seed = 211_000 + storm in
-      let p99u, p50u, _, _ =
-        Topk_em.Config.with_model Workloads.em_model (fun () ->
-            run_pass ~unified:true ~n ~rounds ~qpr ~upr ~storm ~storm_ms:3.0
-              ~seed)
-      in
-      let p99l, p50l, _, maint_wait =
-        Topk_em.Config.with_model Workloads.em_model (fun () ->
-            run_pass ~unified:false ~n ~rounds ~qpr ~upr ~storm ~storm_ms:3.0
-              ~seed)
-      in
-      rows :=
-        [ Table.fi storm;
-          Table.ff ~d:2 p50u;
-          Table.ff ~d:2 p99u;
-          Table.ff ~d:2 p50l;
-          Table.ff ~d:2 p99l;
-          Table.fx ~d:2 (p99u /. Float.max 1e-9 p99l);
-          Table.fi maint_wait ]
-        :: !rows)
-    [ 0; 2; 4; 8; 16 ];
+  let rows =
+    List.map
+      (fun storm ->
+        let _, cells =
+          compare_passes ~n ~rounds ~qpr ~upr ~storm ~storm_ms:3.0
+            ~seed:(211_000 + storm)
+        in
+        Table.fi storm :: cells)
+      [ 0; 2; 4; 8; 16 ]
+  in
   Table.print
     ~title:
       (Printf.sprintf
@@ -228,7 +122,7 @@ let run () =
     ~header:
       [ "storm"; "uni p50"; "uni p99"; "iso p50"; "iso p99"; "p99 gain";
         "maint wait" ]
-    (List.rev !rows);
+    rows;
   Table.note
     "Claim: the unified p99 tracks the storm intensity while the \
      isolated p99 barely moves, and the maintenance heartbeat still \

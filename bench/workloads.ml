@@ -25,6 +25,8 @@ let stab_queries ~seed ~n =
   let rng = Rng.create (seed + 7919) in
   Gen.stab_queries rng ~n
 
+let elem = Topk_scenario.Ops.interval ~span:Wide ~weight:(Distinct 0.4)
+
 let avg_ios f ~runs =
   Config.with_model em_model (fun () ->
       let (), s =

@@ -20,6 +20,10 @@ val intervals :
 
 val stab_queries : seed:int -> n:int -> float array
 
+val elem : Topk_util.Rng.t -> int -> Topk_interval.Interval.t
+(** The element the update experiments (E8, E19, E20) stream: a
+    {!Topk_scenario.Ops.Wide} interval weighted [id + 0.4u]. *)
+
 val avg_ios : (unit -> unit) -> runs:int -> float
 (** Average I/Os per invocation under {!em_model}. *)
 

@@ -11,6 +11,11 @@
      topk sample-check -n 100000 -k 1000 --delta 0.1 --trials 500 *)
 
 open Cmdliner
+module Clock = Topk_scenario.Clock
+module Ops = Topk_scenario.Ops
+module Check = Topk_scenario.Check
+module Timeline = Topk_scenario.Timeline
+module Replicated = Topk_scenario.Replicated
 
 (* --- argument validation ---
 
@@ -48,14 +53,20 @@ let method_conv =
   in
   Arg.conv (parse, print)
 
-let n_arg =
-  Arg.(value & opt int 50_000 & info [ "n" ] ~docv:"N" ~doc:"Number of elements.")
+(* Argument constructors: every command passes its own default (and,
+   where the meaning differs, its own doc). *)
 
-let k_arg =
-  Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Result size.")
+let int_arg name ~docv ~doc default =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
+let float_arg name ~docv ~doc default =
+  Arg.(value & opt float default & info [ name ] ~docv ~doc)
+
+let flag_arg name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+let n_arg = int_arg "n" ~docv:"N" ~doc:"Number of elements." 50_000
+let k_arg = int_arg "k" ~docv:"K" ~doc:"Result size." 10
+let seed_arg = int_arg "seed" ~docv:"SEED" ~doc:"Workload seed." 42
 
 let method_arg =
   Arg.(
@@ -65,15 +76,46 @@ let method_arg =
         ~doc:"Reduction: thm1, thm2, rj (eqs. 1-2 baseline) or naive.")
 
 let block_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "block" ] ~docv:"B" ~doc:"EM block size in words (1 = RAM).")
+  int_arg "block" ~docv:"B" ~doc:"EM block size in words (1 = RAM)." 64
+
+let base_arg = int_arg "n" ~docv:"N" ~doc:"Base elements shared by every node." 400
+let queries_arg ~doc = int_arg "queries" ~docv:"Q" ~doc
+let updates_arg ?(doc = "Inserts + deletes in the update stream.") d =
+  int_arg "updates" ~docv:"U" ~doc d
+let workers_arg ?(doc = "Worker domains in the pool.") d = int_arg "workers" ~docv:"W" ~doc d
+let shards_arg ~doc = int_arg "shards" ~docv:"S" ~doc
+let replicas_arg ~doc = int_arg "replicas" ~docv:"R" ~doc
+let buffer_cap_arg ~docv = int_arg "buffer-cap" ~docv ~doc:"Update-log capacity."
+let fanout_arg = int_arg "fanout" ~docv:"F" ~doc:"Merge arity per level (>= 2)."
+
+let distinct_arg =
+  int_arg "distinct" ~docv:"D" ~doc:"Distinct query points in the Zipf-sampled pool."
+
+let theta_arg =
+  float_arg "theta" ~docv:"THETA" ~doc:"Zipf skew exponent over the query pool (> 0)."
+    1.2
+
+let no_kill_arg ~doc = flag_arg "no-kill" ~doc
+let clean_arg ~doc = flag_arg "clean" ~doc
 
 let with_model block f =
   let model =
     if block <= 1 then Topk_em.Config.ram else Topk_em.Config.em ~b:block ()
   in
   Topk_em.Config.with_model model f
+
+(* log_B n under the current cost model, at least 1: the Q_pri/Q_max
+   shape the fitted cost models are scaled by. *)
+let log_b n =
+  let b = float_of_int (Topk_em.Config.current ()).Topk_em.Config.b in
+  Float.max 1. (log (Float.max 2. (float_of_int n)) /. log (Float.max 2. b))
+
+(* Build [T] over [elems]; the thunk answers one top-k query. *)
+let answer (type e q)
+    (module T : Topk_core.Sigs.TOPK with type P.elem = e and type P.query = q)
+    ?params elems q ~k =
+  let t = T.build ?params elems in
+  fun () -> T.query t q ~k
 
 let report_cost () =
   let s = Topk_em.Stats.snapshot () in
@@ -124,35 +166,19 @@ let fresh_scratch name =
 (* --- interval --- *)
 
 let interval_cmd =
-  let q_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "q" ] ~docv:"Q" ~doc:"Stabbing coordinate in [0,1].")
-  in
+  let q_arg = float_arg "q" ~docv:"Q" ~doc:"Stabbing coordinate in [0,1]." 0.5 in
   let run n k seed meth q block =
     validate_common ~n ~k;
     with_model block (fun () ->
-        let elems =
-          let rng = Topk_util.Rng.create seed in
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals ~n)
-        in
+        let elems = Ops.mixed (Topk_util.Rng.create seed) ~n in
         let module Inst = Topk_interval.Instances in
         let params = Inst.params () in
         let query =
           match meth with
-          | Thm1 ->
-              let t = Inst.Topk_t1.build ~params elems in
-              fun () -> Inst.Topk_t1.query t q ~k
-          | Thm2 ->
-              let t = Inst.Topk_t2.build ~params elems in
-              fun () -> Inst.Topk_t2.query t q ~k
-          | Rj ->
-              let t = Inst.Topk_rj.build elems in
-              fun () -> Inst.Topk_rj.query t q ~k
-          | Naive ->
-              let t = Inst.Topk_naive.build elems in
-              fun () -> Inst.Topk_naive.query t q ~k
+          | Thm1 -> answer (module Inst.Topk_t1) ~params elems q ~k
+          | Thm2 -> answer (module Inst.Topk_t2) ~params elems q ~k
+          | Rj -> answer (module Inst.Topk_rj) elems q ~k
+          | Naive -> answer (module Inst.Topk_naive) elems q ~k
         in
         Topk_em.Stats.reset ();
         let result = query () in
@@ -170,12 +196,8 @@ let interval_cmd =
 (* --- enclosure --- *)
 
 let enclosure_cmd =
-  let x_arg =
-    Arg.(value & opt float 0.5 & info [ "x" ] ~docv:"X" ~doc:"Query x.")
-  in
-  let y_arg =
-    Arg.(value & opt float 0.5 & info [ "y" ] ~docv:"Y" ~doc:"Query y.")
-  in
+  let x_arg = float_arg "x" ~docv:"X" ~doc:"Query x." 0.5 in
+  let y_arg = float_arg "y" ~docv:"Y" ~doc:"Query y." 0.5 in
   let run n k seed meth x y block =
     validate_common ~n ~k;
     with_model block (fun () ->
@@ -187,18 +209,10 @@ let enclosure_cmd =
         let params = Inst.params () in
         let query =
           match meth with
-          | Thm1 ->
-              let t = Inst.Topk_t1.build ~params rects in
-              fun () -> Inst.Topk_t1.query t (x, y) ~k
-          | Thm2 ->
-              let t = Inst.Topk_t2.build ~params rects in
-              fun () -> Inst.Topk_t2.query t (x, y) ~k
-          | Rj ->
-              let t = Inst.Topk_rj.build rects in
-              fun () -> Inst.Topk_rj.query t (x, y) ~k
-          | Naive ->
-              let t = Inst.Topk_naive.build rects in
-              fun () -> Inst.Topk_naive.query t (x, y) ~k
+          | Thm1 -> answer (module Inst.Topk_t1) ~params rects (x, y) ~k
+          | Thm2 -> answer (module Inst.Topk_t2) ~params rects (x, y) ~k
+          | Rj -> answer (module Inst.Topk_rj) rects (x, y) ~k
+          | Naive -> answer (module Inst.Topk_naive) rects (x, y) ~k
         in
         Topk_em.Stats.reset ();
         let result = query () in
@@ -217,17 +231,9 @@ let enclosure_cmd =
 (* --- dominance --- *)
 
 let dominance_cmd =
-  let x_arg =
-    Arg.(value & opt float 200. & info [ "x" ] ~docv:"PRICE" ~doc:"Max price.")
-  in
-  let y_arg =
-    Arg.(value & opt float 10. & info [ "y" ] ~docv:"KM" ~doc:"Max distance.")
-  in
-  let z_arg =
-    Arg.(
-      value & opt float 3.
-      & info [ "z" ] ~docv:"SEC" ~doc:"Min security rating.")
-  in
+  let x_arg = float_arg "x" ~docv:"PRICE" ~doc:"Max price." 200. in
+  let y_arg = float_arg "y" ~docv:"KM" ~doc:"Max distance." 10. in
+  let z_arg = float_arg "z" ~docv:"SEC" ~doc:"Min security rating." 3. in
   let run n k seed meth x y z block =
     validate_common ~n ~k;
     with_model block (fun () ->
@@ -239,18 +245,10 @@ let dominance_cmd =
         let q = (x, y, -.z) in
         let query =
           match meth with
-          | Thm1 ->
-              let t = Inst.Topk_t1.build ~params hotels in
-              fun () -> Inst.Topk_t1.query t q ~k
-          | Thm2 ->
-              let t = Inst.Topk_t2.build ~params hotels in
-              fun () -> Inst.Topk_t2.query t q ~k
-          | Rj ->
-              let t = Inst.Topk_rj.build hotels in
-              fun () -> Inst.Topk_rj.query t q ~k
-          | Naive ->
-              let t = Inst.Topk_naive.build hotels in
-              fun () -> Inst.Topk_naive.query t q ~k
+          | Thm1 -> answer (module Inst.Topk_t1) ~params hotels q ~k
+          | Thm2 -> answer (module Inst.Topk_t2) ~params hotels q ~k
+          | Rj -> answer (module Inst.Topk_rj) hotels q ~k
+          | Naive -> answer (module Inst.Topk_naive) hotels q ~k
         in
         Topk_em.Stats.reset ();
         let result = query () in
@@ -271,9 +269,9 @@ let dominance_cmd =
 (* --- halfplane --- *)
 
 let halfplane_cmd =
-  let a_arg = Arg.(value & opt float 1. & info [ "a" ] ~docv:"A" ~doc:"Normal x.") in
-  let b_arg = Arg.(value & opt float 1. & info [ "b" ] ~docv:"B" ~doc:"Normal y.") in
-  let c_arg = Arg.(value & opt float 1. & info [ "c" ] ~docv:"C" ~doc:"Offset.") in
+  let a_arg = float_arg "a" ~docv:"A" ~doc:"Normal x." 1. in
+  let b_arg = float_arg "b" ~docv:"B" ~doc:"Normal y." 1. in
+  let c_arg = float_arg "c" ~docv:"C" ~doc:"Offset." 1. in
   let run n k seed a b c block =
     validate_common ~n ~k;
     with_model block (fun () ->
@@ -303,9 +301,9 @@ let halfplane_cmd =
 (* --- circular --- *)
 
 let circular_cmd =
-  let x_arg = Arg.(value & opt float 0.5 & info [ "x" ] ~docv:"X" ~doc:"Center x.") in
-  let y_arg = Arg.(value & opt float 0.5 & info [ "y" ] ~docv:"Y" ~doc:"Center y.") in
-  let r_arg = Arg.(value & opt float 0.2 & info [ "r" ] ~docv:"R" ~doc:"Radius.") in
+  let x_arg = float_arg "x" ~docv:"X" ~doc:"Center x." 0.5 in
+  let y_arg = float_arg "y" ~docv:"Y" ~doc:"Center y." 0.5 in
+  let r_arg = float_arg "r" ~docv:"R" ~doc:"Radius." 0.2 in
   let run n k seed x y r block =
     validate_common ~n ~k;
     require_pos_float "r" r;
@@ -331,35 +329,36 @@ let circular_cmd =
 
 (* --- serve-bench --- *)
 
+(* The workload serve-bench and chaos-bench share, drawn from [rng] in
+   this order: mixed intervals, 1D range points (when [ranged]), then
+   the stabbing points and ranges. *)
+let interval_range_workload rng ~n ~queries ~ranged =
+  let elems = Ops.mixed rng ~n in
+  let pts =
+    if not ranged then None
+    else
+      Some
+        (Topk_range.Wpoint.of_positions rng
+           (Array.init n (fun _ -> Topk_util.Rng.uniform rng)))
+  in
+  let stabs = Topk_util.Gen.stab_queries rng ~n:queries in
+  let ranges =
+    Array.init queries (fun _ ->
+        let a = Topk_util.Rng.uniform rng
+        and b = Topk_util.Rng.uniform rng in
+        (Float.min a b, Float.max a b))
+  in
+  (elems, pts, stabs, ranges)
+
 let serve_bench_cmd =
   let module Svc = Topk_service in
   let module Stats = Topk_em.Stats in
-  let queries_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "queries" ] ~docv:"Q" ~doc:"Number of queries to serve.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "capacity" ] ~docv:"C" ~doc:"Bounded queue capacity.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"J" ~doc:"Max jobs a worker pops at once.")
-  in
+  let capacity_arg = int_arg "capacity" ~docv:"C" ~doc:"Bounded queue capacity." 1024 in
+  let batch_arg = int_arg "batch" ~docv:"J" ~doc:"Max jobs a worker pops at once." 32 in
   let mixed_arg =
-    Arg.(
-      value & flag
-      & info [ "mixed" ]
-          ~doc:"Serve a mixed interval-stabbing + 1D-range workload \
-                instead of intervals only.")
+    flag_arg "mixed"
+      ~doc:"Serve a mixed interval-stabbing + 1D-range workload instead of \
+            intervals only."
   in
   let run n k seed queries workers capacity batch mixed block =
     validate_common ~n ~k;
@@ -373,68 +372,49 @@ let serve_bench_cmd =
           "serve-bench: n=%d queries=%d workers=%d k=%d capacity=%d batch<=%d%s\n%!"
           n queries workers k capacity batch
           (if mixed then " (mixed interval+range)" else "");
-        (* Build the instances (build cost is not part of serving). *)
-        let elems =
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals
-               ~n)
+        let elems, pts, stabs, ranges =
+          interval_range_workload rng ~n ~queries ~ranged:mixed
         in
+        (* Build the instances (build cost is not part of serving). *)
         let module IInst = Topk_interval.Instances in
-        let itv = IInst.Topk_t2.build ~params:(IInst.params ()) elems in
+        let module RInst = Topk_range.Instances in
         let registry = Svc.Registry.create () in
         let itv_h =
           Svc.Registry.register registry ~name:"intervals"
             (module IInst.Topk_t2)
-            itv
+            (IInst.Topk_t2.build ~params:(IInst.params ()) elems)
         in
         let range_h =
-          if not mixed then None
-          else begin
-            let module RInst = Topk_range.Instances in
-            let pts =
-              Topk_range.Wpoint.of_positions rng
-                (Array.init n (fun _ -> Topk_util.Rng.uniform rng))
-            in
-            let rs = RInst.Topk_t2.build ~params:(RInst.params ()) pts in
-            Some
-              (Svc.Registry.register registry ~name:"range1d"
-                 (module RInst.Topk_t2)
-                 rs)
-          end
+          Option.map
+            (fun pts ->
+              Svc.Registry.register registry ~name:"range1d"
+                (module RInst.Topk_t2)
+                (RInst.Topk_t2.build ~params:(RInst.params ()) pts))
+            pts
         in
         List.iter
           (fun i -> Format.printf "registered %a@." Svc.Registry.pp_info i)
           (Svc.Registry.list registry);
-        let stabs = Topk_util.Gen.stab_queries rng ~n:queries in
-        let ranges =
-          Array.init queries (fun _ ->
-              let a = Topk_util.Rng.uniform rng
-              and b = Topk_util.Rng.uniform rng in
-              (Float.min a b, Float.max a b))
-        in
         (* Sequential reference pass on this domain, same code path as
            the workers (per-query carry rounding included). *)
         let run_one i =
-          if mixed && i land 1 = 1 then
-            match range_h with
-            | Some h ->
-                ignore
-                  (Svc.Registry.h_exec h ranges.(i) ~k ~budget:None
-                     ~deadline:None)
-            | None -> assert false
-          else
-            ignore
-              (Svc.Registry.h_exec itv_h stabs.(i) ~k ~budget:None
-                 ~deadline:None)
+          match range_h with
+          | Some h when i land 1 = 1 ->
+              ignore
+                (Svc.Registry.h_exec h ranges.(i) ~k ~budget:None ~deadline:None)
+          | _ ->
+              ignore
+                (Svc.Registry.h_exec itv_h stabs.(i) ~k ~budget:None
+                   ~deadline:None)
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let (), seq =
           Stats.measure (fun () ->
               for i = 0 to queries - 1 do
                 run_one i
               done)
         in
-        let seq_elapsed = Unix.gettimeofday () -. t0 in
+        let seq_elapsed = Clock.since t0 in
         Printf.printf "\nsequential: %d queries in %.3fs (%.0f qps), %s\n%!"
           queries seq_elapsed
           (float_of_int queries /. Float.max 1e-9 seq_elapsed)
@@ -455,21 +435,19 @@ let serve_bench_cmd =
             (fun h -> Svc.Client.attach client (Svc.Client.pooled pool h))
             range_h
         in
-        let t1 = Unix.gettimeofday () in
+        let t1 = Clock.now () in
         let futures =
           List.init queries (fun i ->
-              if mixed && i land 1 = 1 then
-                match range_c with
-                | Some c ->
-                    let fut = Svc.Client.query c ranges.(i) ~k in
-                    fun () -> ignore (Svc.Future.await fut)
-                | None -> assert false
-              else
-                let fut = Svc.Client.query itv_c stabs.(i) ~k in
-                fun () -> ignore (Svc.Future.await fut))
+              match range_c with
+              | Some c when i land 1 = 1 ->
+                  let fut = Svc.Client.query c ranges.(i) ~k in
+                  fun () -> ignore (Svc.Future.await fut)
+              | _ ->
+                  let fut = Svc.Client.query itv_c stabs.(i) ~k in
+                  fun () -> ignore (Svc.Future.await fut))
         in
         List.iter (fun wait -> wait ()) futures;
-        let elapsed = Unix.gettimeofday () -. t1 in
+        let elapsed = Clock.since t1 in
         let par = Svc.Executor.aggregate_stats pool in
         Printf.printf "concurrent: %d queries in %.3fs (%.0f qps)\n"
           queries elapsed
@@ -506,8 +484,9 @@ let serve_bench_cmd =
          "Drive the concurrent serving subsystem (registry + domain pool) \
           with a synthetic workload and report latency/IO histograms.")
     Term.(
-      const run $ n_arg $ k_arg $ seed_arg $ queries_arg $ workers_arg
-      $ capacity_arg $ batch_arg $ mixed_arg $ block_arg)
+      const run $ n_arg $ k_arg $ seed_arg
+      $ queries_arg ~doc:"Number of queries to serve." 10_000
+      $ workers_arg 4 $ capacity_arg $ batch_arg $ mixed_arg $ block_arg)
 
 (* --- chaos-bench --- *)
 
@@ -515,44 +494,19 @@ let chaos_bench_cmd =
   let module Svc = Topk_service in
   let module Stats = Topk_em.Stats in
   let module Fault = Topk_em.Fault in
-  let queries_arg =
-    Arg.(
-      value & opt int 2_000
-      & info [ "queries" ] ~docv:"Q" ~doc:"Number of queries to serve.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
-  in
   let fault_rate_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "fault-rate" ] ~docv:"P"
-          ~doc:"Probability of a transient fault per block-fetch miss.")
+    float_arg "fault-rate" ~docv:"P"
+      ~doc:"Probability of a transient fault per block-fetch miss." 0.05
   in
   let latency_rate_arg =
-    Arg.(
-      value & opt float 0.01
-      & info [ "latency-rate" ] ~docv:"P"
-          ~doc:"Probability of a latency spike per block-fetch miss.")
+    float_arg "latency-rate" ~docv:"P"
+      ~doc:"Probability of a latency spike per block-fetch miss." 0.01
   in
   let latency_us_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "latency-us" ] ~docv:"US" ~doc:"Spike duration, microseconds.")
+    int_arg "latency-us" ~docv:"US" ~doc:"Spike duration, microseconds." 100
   in
   let retries_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "max-retries" ] ~docv:"R"
-          ~doc:"Retry attempts per transient fault.")
-  in
-  let no_kill_arg =
-    Arg.(
-      value & flag
-      & info [ "no-kill" ]
-          ~doc:"Don't kill (and respawn) a worker domain mid-run.")
+    int_arg "max-retries" ~docv:"R" ~doc:"Retry attempts per transient fault." 3
   in
   let require_rate name v =
     if not (v >= 0. && v <= 1.) then
@@ -576,17 +530,12 @@ let chaos_bench_cmd =
           (if no_kill then "" else " (+1 injected worker crash)");
         (* Mixed interval-stabbing + 1D-range workload behind one
            registry, with RAM-model naive oracles for ground truth. *)
-        let elems =
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals
-               ~n)
+        let elems, pts, stabs, ranges =
+          interval_range_workload rng ~n ~queries ~ranged:true
         in
+        let pts = Option.get pts in
         let module IInst = Topk_interval.Instances in
         let module RInst = Topk_range.Instances in
-        let pts =
-          Topk_range.Wpoint.of_positions rng
-            (Array.init n (fun _ -> Topk_util.Rng.uniform rng))
-        in
         let registry = Svc.Registry.create () in
         let itv_h =
           Svc.Registry.register registry ~name:"intervals"
@@ -600,23 +549,15 @@ let chaos_bench_cmd =
         in
         let itv_naive = IInst.Topk_naive.build elems in
         let rng_naive = RInst.Topk_naive.build pts in
-        let stabs = Topk_util.Gen.stab_queries rng ~n:queries in
-        let ranges =
-          Array.init queries (fun _ ->
-              let a = Topk_util.Rng.uniform rng
-              and b = Topk_util.Rng.uniform rng in
-              (Float.min a b, Float.max a b))
-        in
         (* Sequential oracle answers, computed before any fault is
            armed. *)
-        let itv_ids l = List.map (fun (e : Topk_interval.Interval.t) -> e.id) l in
         let rng_ids l = List.map (fun (e : Topk_range.Wpoint.t) -> e.id) l in
         let oracle =
           Array.init queries (fun i ->
               if i land 1 = 1 then
                 `R (rng_ids (RInst.Topk_naive.query rng_naive ranges.(i) ~k))
               else
-                `I (itv_ids (IInst.Topk_naive.query itv_naive stabs.(i) ~k)))
+                `I (Check.ids (IInst.Topk_naive.query itv_naive stabs.(i) ~k)))
         in
         (* Arm the seeded fault plan and serve the whole workload. *)
         let plan =
@@ -651,7 +592,7 @@ let chaos_bench_cmd =
               }
             ()
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let classify i status answers =
           match status with
           | Svc.Response.Failed _ -> `Failed
@@ -682,7 +623,7 @@ let chaos_bench_cmd =
                 fun () ->
                   let r = Svc.Future.await f in
                   classify i r.Svc.Response.status
-                    (`I (itv_ids r.Svc.Response.answers)))
+                    (`I (Check.ids r.Svc.Response.answers)))
         in
         (* Kill a worker mid-run; the supervisor must respawn it. *)
         if not no_kill then Svc.Executor.inject_worker_crash pool 0;
@@ -696,19 +637,10 @@ let chaos_bench_cmd =
             | `Failed -> incr failed
             | `Mismatch -> incr mismatched)
           futures;
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.since t0 in
         Svc.Executor.drain pool;
-        (* Wait (bounded) for the respawn to be recorded. *)
         let m = Svc.Executor.metrics pool in
-        if not no_kill then begin
-          let deadline = Unix.gettimeofday () +. 5. in
-          while
-            Svc.Metrics.Counter.get m.Svc.Metrics.respawns = 0
-            && Unix.gettimeofday () < deadline
-          do
-            Unix.sleepf 0.005
-          done
-        end;
+        if not no_kill then Clock.await_respawn m;
         Svc.Executor.shutdown pool;
         Fault.clear ();
         let retries = Svc.Metrics.Counter.get m.Svc.Metrics.retries in
@@ -754,11 +686,22 @@ let chaos_bench_cmd =
           answers match the sequential oracle, transients are retried, \
           and the killed worker is respawned.")
     Term.(
-      const run $ n_arg $ k_arg $ seed_arg $ queries_arg $ workers_arg
-      $ fault_rate_arg $ latency_rate_arg $ latency_us_arg $ retries_arg
-      $ no_kill_arg $ block_arg)
+      const run $ n_arg $ k_arg $ seed_arg
+      $ queries_arg ~doc:"Number of queries to serve." 2_000
+      $ workers_arg 4 $ fault_rate_arg $ latency_rate_arg $ latency_us_arg
+      $ retries_arg
+      $ no_kill_arg ~doc:"Don't kill (and respawn) a worker domain mid-run."
+      $ block_arg)
 
 (* --- shard-bench --- *)
+
+(* The sharded T2 interval index shard-bench and trace serve. *)
+module SSet =
+  Topk_shard.Shard_set.Make
+    (Topk_interval.Instances.Topk_t2)
+    (Topk_interval.Slab_max)
+
+module Scatter = Topk_shard.Scatter.Make (SSet) (Topk_interval.Instances.Topk_t2)
 
 let shard_bench_cmd =
   let module Svc = Topk_service in
@@ -766,28 +709,10 @@ let shard_bench_cmd =
   let module Shard = Topk_shard in
   let module IInst = Topk_interval.Instances in
   let module IP = Topk_interval.Problem in
-  let queries_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "queries" ] ~docv:"Q" ~doc:"Number of logical queries.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"S" ~doc:"Number of index shards.")
-  in
   (* Pruning saves a shard's Q_top + O(k/B) per skipped shard and pays
      one max query per shard; a larger default k than the point-lookup
      commands makes that trade visible at the default n. *)
-  let shard_k_arg =
-    Arg.(
-      value & opt int 1000 & info [ "k" ] ~docv:"K" ~doc:"Result size.")
-  in
+  let shard_k_arg = int_arg "k" ~docv:"K" ~doc:"Result size." 1000 in
   let strategy_arg =
     Arg.(
       value
@@ -805,11 +730,7 @@ let shard_bench_cmd =
     require_pos "shards" shards;
     if shards > n then die "shards must be <= n (got shards=%d, n=%d)" shards n;
     with_model block (fun () ->
-        let module SSet =
-          Shard.Shard_set.Make (IInst.Topk_t2) (Topk_interval.Slab_max)
-        in
         let module Planner = Shard.Planner.Make (SSet) in
-        let module Scatter = Shard.Scatter.Make (SSet) (IInst.Topk_t2) in
         let rng = Topk_util.Rng.create seed in
         let strategy_name, strategy =
           match strategy with
@@ -821,11 +742,7 @@ let shard_bench_cmd =
           "shard-bench: n=%d queries=%d workers=%d shards=%d k=%d \
            strategy=%s\n%!"
           n queries workers shards k strategy_name;
-        let elems =
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals
-               ~n)
-        in
+        let elems = Ops.mixed rng ~n in
         let params = IInst.params () in
         (* The unsharded reference index: sharded answers must match it
            query for query. *)
@@ -834,7 +751,6 @@ let shard_bench_cmd =
         Format.printf "%a@." SSet.pp set;
         let stabs = Topk_util.Gen.stab_queries rng ~n:queries in
         let reference = Array.map (fun q -> IInst.Topk_t2.query flat q ~k) stabs in
-        let ids l = List.map IP.id l in
         (* Phase 1: sequential planner on this domain — pruning
            economics vs visiting every shard. *)
         let seq_mismatch = ref 0 and seq_pruned = ref 0 in
@@ -843,7 +759,7 @@ let shard_bench_cmd =
               Array.iteri
                 (fun i q ->
                   let answers, report = Planner.query_report set q ~k in
-                  if ids answers <> ids reference.(i) then incr seq_mismatch;
+                  if Check.ids answers <> Check.ids reference.(i) then incr seq_mismatch;
                   seq_pruned := !seq_pruned + report.Planner.pruned)
                 stabs)
         in
@@ -862,7 +778,7 @@ let shard_bench_cmd =
         let registry = Svc.Registry.create () in
         let sc = Scatter.create pool registry ~name:"intervals" set in
         Stats.reset_all ();
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let par_mismatch = ref 0
         and par_pruned = ref 0
         and fanout = ref 0
@@ -871,14 +787,14 @@ let shard_bench_cmd =
           (fun i q ->
             let r = Scatter.query sc q ~k in
             if
-              ids r.Scatter.answers <> ids reference.(i)
+              Check.ids r.Scatter.answers <> Check.ids reference.(i)
               || r.Scatter.status <> Svc.Response.Complete
             then incr par_mismatch;
             par_pruned := !par_pruned + r.Scatter.pruned;
             fanout := !fanout + r.Scatter.fanout;
             total := Stats.add !total r.Scatter.cost)
           stabs;
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.since t0 in
         Svc.Executor.drain pool;
         let agg = Stats.aggregate () in
         Printf.printf
@@ -929,8 +845,11 @@ let shard_bench_cmd =
           through the worker pool, and verify exactness, per-shard EM \
           accounting and max-query pruning against the unsharded index.")
     Term.(
-      const run $ n_arg $ shard_k_arg $ seed_arg $ queries_arg $ workers_arg
-      $ shards_arg $ strategy_arg $ block_arg)
+      const run $ n_arg $ shard_k_arg $ seed_arg
+      $ queries_arg ~doc:"Number of logical queries." 200
+      $ workers_arg 4
+      $ shards_arg ~doc:"Number of index shards." 8
+      $ strategy_arg $ block_arg)
 
 (* --- trace --- *)
 
@@ -942,27 +861,9 @@ let trace_cmd =
   let module Shard = Topk_shard in
   let module IInst = Topk_interval.Instances in
   let module IP = Topk_interval.Problem in
-  let queries_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "queries" ] ~docv:"Q"
-          ~doc:"Certified queries per reduction (3x this in total).")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"S" ~doc:"Shards for the scatter workload.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
-  in
   let dump_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "dump" ] ~docv:"D"
-          ~doc:"Print the D most recent traces as JSON (one per line).")
+    int_arg "dump" ~docv:"D"
+      ~doc:"Print the D most recent traces as JSON (one per line)." 0
   in
   let run n k seed queries shards workers dump block =
     validate_common ~n ~k;
@@ -973,18 +874,10 @@ let trace_cmd =
     if shards > n then die "shards must be <= n (got shards=%d, n=%d)" shards n;
     with_model block (fun () ->
         let rng = Topk_util.Rng.create seed in
-        let elems =
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals
-               ~n)
-        in
+        let elems = Ops.mixed rng ~n in
         let params = IInst.params () in
         let t1 = IInst.Topk_t1.build ~params elems in
         let t2 = IInst.Topk_t2.build ~params elems in
-        let module SSet =
-          Shard.Shard_set.Make (IInst.Topk_t2) (Topk_interval.Slab_max)
-        in
-        let module Scatter = Shard.Scatter.Make (SSet) (IInst.Topk_t2) in
         let set =
           SSet.of_elems ~params
             ~strategy:(Shard.Partitioner.Range IP.weight)
@@ -999,10 +892,6 @@ let trace_cmd =
           queries k shards workers;
         (* Phase 1 — calibration, tracing off: fit one cost model per
            reduction from a small workload and register it. *)
-        let b = float_of_int (Topk_em.Config.current ()).Topk_em.Config.b in
-        let logb x =
-          Float.max 1. (log (Float.max 2. x) /. log (Float.max 2. b))
-        in
         let ks =
           List.sort_uniq Int.compare [ 1; max 1 (k / 10); max 1 (k / 2); k ]
         in
@@ -1019,8 +908,8 @@ let trace_cmd =
               ks
           in
           Certify.register
-            (Certify.fit ~instance ~theorem ~n ~q_pri:(logb (float_of_int n))
-               ~q_max:(logb (float_of_int n))
+            (Certify.fit ~instance ~theorem ~n ~q_pri:(log_b n)
+               ~q_max:(log_b n)
                samples)
         in
         fit_direct "interval-t1" Certify.T1 (fun q kc ->
@@ -1040,8 +929,8 @@ let trace_cmd =
         Certify.register
           (Certify.fit ~instance:"intervals" ~theorem:Certify.Sharded
              ~n:n_shard ~shards ~margin:3.0
-             ~q_pri:(logb (float_of_int n_shard))
-             ~q_max:(logb (float_of_int n_shard))
+             ~q_pri:(log_b n_shard)
+             ~q_max:(log_b n_shard)
              shard_samples);
         let model_line =
           Certify.models ()
@@ -1109,8 +998,10 @@ let trace_cmd =
           certify every measured cost against the paper's bounds; exits \
           non-zero on any violation.")
     Term.(
-      const run $ n_arg $ k_arg $ seed_arg $ queries_arg $ shards_arg
-      $ workers_arg $ dump_arg $ block_arg)
+      const run $ n_arg $ k_arg $ seed_arg
+      $ queries_arg ~doc:"Certified queries per reduction (3x this in total)." 200
+      $ shards_arg ~doc:"Shards for the scatter workload." 4
+      $ workers_arg 2 $ dump_arg $ block_arg)
 
 (* --- ingest-bench --- *)
 
@@ -1119,49 +1010,13 @@ let ingest_bench_cmd =
   let module Stats = Topk_em.Stats in
   let module Certify = Topk_trace.Certify in
   let module IInst = Topk_interval.Instances in
-  let module I = Topk_interval.Interval in
   let module Ing = Topk_ingest.Ingest.Make (IInst.Topk_t2) in
-  let updates_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "updates" ] ~docv:"U"
-          ~doc:"Inserts + deletes in the update stream.")
-  in
-  let queries_arg =
-    Arg.(
-      value & opt int 1_000
-      & info [ "queries" ] ~docv:"Q"
-          ~doc:"Queries interleaved with the update stream.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W"
-          ~doc:"Worker domains running background merges.")
-  in
   let write_ratio_arg =
-    Arg.(
-      value & opt float 0.7
-      & info [ "write-ratio" ] ~docv:"P"
-          ~doc:
-            "Fraction of updates that insert a fresh element; the rest \
-             delete a live one.  In (0,1].")
-  in
-  let buffer_cap_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "buffer-cap" ] ~docv:"C" ~doc:"Update-log capacity.")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "fanout" ] ~docv:"F" ~doc:"Merge arity per level (>= 2).")
-  in
-  let no_kill_arg =
-    Arg.(
-      value & flag
-      & info [ "no-kill" ]
-          ~doc:"Don't kill (and respawn) a merge worker mid-stream.")
+    float_arg "write-ratio" ~docv:"P"
+      ~doc:
+        "Fraction of updates that insert a fresh element; the rest delete a \
+         live one.  In (0,1]."
+      0.7
   in
   let run n k seed updates queries workers write_ratio buffer_cap fanout
       no_kill block =
@@ -1180,57 +1035,15 @@ let ingest_bench_cmd =
            write-ratio=%g buffer-cap=%d fanout=%d%s\n%!"
           n updates queries workers k write_ratio buffer_cap fanout
           (if no_kill then "" else " (+1 injected merge-worker crash)");
-        let base =
-          Topk_interval.Interval.of_spans rng
-            (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals
-               ~n)
-        in
+        let base = Ops.mixed rng ~n in
         let pool = Svc.Executor.create ~workers () in
         let t =
           Ing.create ~params:(IInst.params ()) ~buffer_cap ~fanout ~pool base
         in
         let metrics = Svc.Executor.metrics pool in
-        (* The seeded update stream: fresh ids insert, live ids delete. *)
-        let next_id = ref (n + 1) in
-        let live = Hashtbl.create (2 * n) in
-        Array.iter (fun (e : I.t) -> Hashtbl.replace live e.I.id e) base;
-        let fresh_elem () =
-          let id = !next_id in
-          incr next_id;
-          let lo = Topk_util.Rng.uniform rng in
-          let hi =
-            Float.min 1.0 (lo +. 0.02 +. (0.3 *. Topk_util.Rng.uniform rng))
-          in
-          I.make ~id ~lo ~hi
-            ~weight:(1000. *. Topk_util.Rng.uniform rng)
-            ()
-        in
-        let one_update () =
-          let insert () =
-            let e = fresh_elem () in
-            Hashtbl.replace live e.I.id e;
-            Ing.insert t e
-          in
-          if Topk_util.Rng.uniform rng <= write_ratio then insert ()
-          else begin
-            (* Probe for a live victim; fall back to an insert when the
-               sampling misses (the live set only shrinks under heavy
-               delete ratios, so a bounded probe is enough). *)
-            let victim = ref None in
-            let tries = ref 0 in
-            while !victim = None && !tries < 64 do
-              incr tries;
-              let id = 1 + Topk_util.Rng.int rng (!next_id - 1) in
-              match Hashtbl.find_opt live id with
-              | Some e -> victim := Some e
-              | None -> ()
-            done;
-            match !victim with
-            | Some e ->
-                Hashtbl.remove live e.I.id;
-                Ing.delete t e
-            | None -> insert ()
-          end
+        let stream =
+          Ops.Stream.create ~insert_ratio:write_ratio ~weight:(Scaled 1000.) rng
+            base
         in
         (* Exactness: every answer must equal the from-scratch oracle
            over the surviving set of the same pinned epoch.
@@ -1246,41 +1059,30 @@ let ingest_bench_cmd =
         let cal_samples = ref [] in
         let fitted = ref false in
         let headroom = ref 0.0 in
-        let b = float_of_int (Topk_em.Config.current ()).Topk_em.Config.b in
-        let logb x =
-          Float.max 1. (log (Float.max 2. x) /. log (Float.max 2. b))
-        in
         let fit_model () =
           Certify.register
             (Certify.fit ~instance ~theorem:(Certify.Dynamic Certify.T2)
                ~n:(n + updates) ~margin:3.0
-               ~q_pri:(logb (float_of_int (n + updates)))
-               ~q_max:(logb (float_of_int (n + updates)))
+               ~q_pri:(log_b (n + updates))
+               ~q_max:(log_b (n + updates))
                (List.rev !cal_samples));
           Certify.reset_counters ();
           fitted := true
         in
-        let mismatched = ref 0 and checked = ref 0 in
-        let ids l = List.map (fun (e : I.t) -> e.I.id) l in
+        let mismatches = Check.Tally.create ~show:3 and checked = ref 0 in
         let do_query () =
           let q = Topk_util.Rng.uniform rng in
           let view = Ing.pin t in
           let answer, cost =
             Stats.measure (fun () -> Ing.query_view view q ~k)
           in
-          let truth =
-            Topk_util.Select.top_k ~cmp:I.compare_weight k
-              (List.filter (fun e -> I.contains e q) (Ing.view_live view))
-          in
+          let truth = Check.top_k (Ing.view_live view) q ~k in
           incr checked;
-          if ids answer <> ids truth then begin
-            incr mismatched;
-            if !mismatched <= 3 then
-              Printf.printf
-                "  MISMATCH at epoch %d (q=%g k=%d): got %d ids, oracle %d\n"
-                (Ing.view_epoch view) q k (List.length answer)
-                (List.length truth)
-          end;
+          if Check.ids answer <> Check.ids truth then
+            Check.Tally.flag mismatches
+              (Printf.sprintf "MISMATCH at epoch %d (q=%g k=%d): got %d ids, oracle %d"
+                 (Ing.view_epoch view) q k (List.length answer)
+                 (List.length truth));
           let runs = Ing.view_runs view in
           if not !fitted then begin
             cal_samples := (k, Some runs, cost.Stats.ios) :: !cal_samples;
@@ -1303,11 +1105,13 @@ let ingest_bench_cmd =
         in
         (* The measured stream: interleave queries with updates, kill a
            merge worker a third of the way in. *)
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let per_query = max 1 (updates / queries) in
         let issued = ref 0 in
         for u = 1 to updates do
-          one_update ();
+          (match Ops.Stream.next stream with
+          | Insert e -> Ing.insert t e
+          | Delete e -> Ing.delete t e);
           if u mod per_query = 0 && !issued < queries then begin
             incr issued;
             do_query ()
@@ -1320,21 +1124,13 @@ let ingest_bench_cmd =
           do_query ()
         done;
         if not !fitted then fit_model ();
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed = Clock.since t0 in
         (* Settle: seal the tail of the log, drain compaction, and
            re-check a final batch of queries on the frozen structure. *)
         Ing.freeze t;
         for _ = 1 to 16 do do_query () done;
         Svc.Executor.drain pool;
-        if not no_kill then begin
-          let deadline = Unix.gettimeofday () +. 5. in
-          while
-            Svc.Metrics.Counter.get metrics.Svc.Metrics.respawns = 0
-            && Unix.gettimeofday () < deadline
-          do
-            Unix.sleepf 0.005
-          done
-        end;
+        if not no_kill then Clock.await_respawn metrics;
         Svc.Executor.shutdown pool;
         let agg = Stats.aggregate () in
         let get c = Svc.Metrics.Counter.get c in
@@ -1347,7 +1143,7 @@ let ingest_bench_cmd =
            exact\n"
           updates queries elapsed
           (float_of_int (updates + queries) /. Float.max 1e-9 elapsed)
-          (!checked - !mismatched) !checked;
+          (!checked - Check.Tally.count mismatches) !checked;
         Printf.printf
           "ingest: size=%d epoch=%d runs=%d updates=%d seals=%d merges=%d \
            tombstones=%d epoch-lag=%d respawns=%d wedged=%b\n"
@@ -1370,9 +1166,9 @@ let ingest_bench_cmd =
           agg.Stats.ios (Certify.checked ()) (Certify.violations ())
           !headroom;
         (* Hard failures: this bench exists to catch them. *)
-        if !mismatched > 0 then
+        if Check.Tally.count mismatches > 0 then
           die "%d answers disagree with the from-scratch epoch oracle"
-            !mismatched;
+            (Check.Tally.count mismatches);
         if Certify.violations () > 0 then
           die "%d dynamic cost-bound violations" (Certify.violations ());
         if seals = 0 then die "the update stream never sealed the buffer";
@@ -1397,52 +1193,43 @@ let ingest_bench_cmd =
           and every measured cost must stay within the fitted \
           Dynamic(Theorem 2) bound.")
     Term.(
-      const run $ n_arg $ k_arg $ seed_arg $ updates_arg $ queries_arg
-      $ workers_arg $ write_ratio_arg $ buffer_cap_arg $ fanout_arg
-      $ no_kill_arg $ block_arg)
+      const run $ n_arg $ k_arg $ seed_arg $ updates_arg 10_000
+      $ queries_arg ~doc:"Queries interleaved with the update stream." 1_000
+      $ workers_arg ~doc:"Worker domains running background merges." 4
+      $ write_ratio_arg $ buffer_cap_arg ~docv:"C" 256 $ fanout_arg 4
+      $ no_kill_arg ~doc:"Don't kill (and respawn) a merge worker mid-stream."
+      $ block_arg)
 
 (* --- crash-bench --- *)
 
+(* Per-phase hit counts of a fault sweep. *)
+let bump hits phase =
+  Hashtbl.replace hits phase
+    (1 + Option.value ~default:0 (Hashtbl.find_opt hits phase))
+
+let coverage_line hits phases =
+  String.concat ""
+    (List.map
+       (fun p ->
+         Printf.sprintf " %s=%d" p
+           (Option.value ~default:0 (Hashtbl.find_opt hits p)))
+       phases)
+
 let crash_bench_cmd =
   let module IInst = Topk_interval.Instances in
-  let module I = Topk_interval.Interval in
   let module Disk = Topk_durable.Disk in
   let module Store = Topk_durable.Store in
   let module DS = Topk_durable.Store.Make (IInst.Topk_t2) in
   let module Svc = Topk_service in
-  let updates_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "updates" ] ~docv:"U"
-          ~doc:"Inserts + deletes in the update stream.")
-  in
   let crashes_arg =
-    Arg.(
-      value & opt int 60
-      & info [ "crashes" ] ~docv:"C"
-          ~doc:"Crash points swept per durability mode.")
-  in
-  let buffer_cap_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "buffer-cap" ] ~docv:"B" ~doc:"Update-log capacity.")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "fanout" ] ~docv:"F" ~doc:"Merge arity per level (>= 2).")
+    int_arg "crashes" ~docv:"C" ~doc:"Crash points swept per durability mode." 60
   in
   let checkpoint_every_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "checkpoint-every" ] ~docv:"S"
-          ~doc:"Checkpoint every S-th seal (merges always checkpoint).")
+    int_arg "checkpoint-every" ~docv:"S"
+      ~doc:"Checkpoint every S-th seal (merges always checkpoint)." 2
   in
   let group_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "group" ] ~docv:"G"
-          ~doc:"Group-commit size for the async mode leg.")
+    int_arg "group" ~docv:"G" ~doc:"Group-commit size for the async mode leg." 4
   in
   let run n k seed updates crashes buffer_cap fanout checkpoint_every group =
     validate_common ~n ~k;
@@ -1457,65 +1244,20 @@ let crash_bench_cmd =
       "crash-bench: n=%d updates=%d crashes=%d/mode buffer-cap=%d fanout=%d \
        checkpoint-every=%d\n%!"
       n updates crashes buffer_cap fanout checkpoint_every;
-    let base =
-      Topk_interval.Interval.of_spans rng
-        (Topk_util.Gen.intervals rng ~shape:Topk_util.Gen.Mixed_intervals ~n)
-    in
+    let base = Ops.mixed rng ~n in
     (* The op stream is fixed up front — identical at every crash
        point, so the from-scratch oracle over any prefix is
        well-defined. *)
-    let last = Hashtbl.create (2 * n) in
-    Array.iter (fun (e : I.t) -> Hashtbl.replace last e.I.id e) base;
-    let next_id = ref (n + 1) in
-    let ops =
-      Array.init updates (fun _ ->
-          let insert () =
-            let id = !next_id in
-            incr next_id;
-            let lo = Topk_util.Rng.uniform rng in
-            let hi =
-              Float.min 1.0 (lo +. 0.02 +. (0.3 *. Topk_util.Rng.uniform rng))
-            in
-            let e =
-              I.make ~id ~lo ~hi ~weight:(1000. *. Topk_util.Rng.uniform rng) ()
-            in
-            Hashtbl.replace last id e;
-            (true, e)
-          in
-          if Topk_util.Rng.uniform rng <= 0.7 then insert ()
-          else begin
-            let victim = ref None in
-            let tries = ref 0 in
-            while !victim = None && !tries < 64 do
-              incr tries;
-              let id = 1 + Topk_util.Rng.int rng (!next_id - 1) in
-              match Hashtbl.find_opt last id with
-              | Some e -> victim := Some e
-              | None -> ()
-            done;
-            match !victim with
-            | Some e ->
-                Hashtbl.remove last e.I.id;
-                (false, e)
-            | None -> insert ()
-          end)
-    in
-    let oracle_ids r =
-      let live = Hashtbl.create (2 * n) in
-      Array.iter (fun (e : I.t) -> Hashtbl.replace live e.I.id ()) base;
-      Array.iteri
-        (fun i ((ins, e) : bool * I.t) ->
-          if i < r then
-            if ins then Hashtbl.replace live e.I.id ()
-            else Hashtbl.remove live e.I.id)
-        ops;
-      List.sort compare (Hashtbl.fold (fun id () a -> id :: a) live [])
+    let stream = Ops.Stream.create ~insert_ratio:0.7 ~weight:(Scaled 1000.) rng base in
+    let ops = Array.init updates (fun _ -> Ops.Stream.next stream) in
+    let timeline = Timeline.create base in
+    Array.iter (Timeline.push timeline) ops;
+    let apply st (op : Ops.op) =
+      match op with Insert e -> DS.insert st e | Delete e -> DS.delete st e
     in
     let live_ids st =
       let v = DS.I.pin (DS.index st) in
-      let ids =
-        List.sort compare (List.map (fun (e : I.t) -> e.I.id) (DS.I.view_live v))
-      in
+      let ids = Check.sorted_ids (DS.I.view_live v) in
       DS.I.unpin v;
       ids
     in
@@ -1524,7 +1266,9 @@ let crash_bench_cmd =
       DS.create ~params ~buffer_cap ~fanout ~mode ~checkpoint_every ~dir base
     in
     let metrics = Svc.Metrics.create () in
-    let recoveries = ref 0 and violations = ref 0 and swept = ref 0 in
+    let phases = [ "wal-append"; "seal"; "merge"; "manifest" ] in
+    let recoveries = ref 0 and swept = ref 0 in
+    let violations = Check.Tally.create ~show:5 in
     let phase_hits = Hashtbl.create 8 in
     let run_mode mode mode_name =
       (* Profile pass: count this workload's disk ops and label each
@@ -1534,7 +1278,7 @@ let crash_bench_cmd =
       Disk.reset_ops ();
       Disk.set_recording true;
       let st = build mode profile_dir in
-      Array.iter (fun (ins, e) -> if ins then DS.insert st e else DS.delete st e) ops;
+      Array.iter (apply st) ops;
       DS.close st;
       Disk.set_recording false;
       let total_ops = Disk.op_count () in
@@ -1543,7 +1287,7 @@ let crash_bench_cmd =
       (match DS.recover ~params ~buffer_cap ~fanout ~mode ~dir:profile_dir () with
       | None -> die "%s: the crash-free profile run lost its recovery root" mode_name
       | Some st' ->
-          if live_ids st' <> oracle_ids updates then
+          if live_ids st' <> Timeline.ids_at timeline updates then
             die "%s: crash-free recovery disagrees with the oracle" mode_name;
           DS.close st');
       rm_rf profile_dir;
@@ -1576,14 +1320,11 @@ let crash_bench_cmd =
             match first_op_of ph with
             | Some i -> Hashtbl.replace chosen i ()
             | None -> ())
-        [ "wal-append"; "seal"; "merge"; "manifest" ];
+        phases;
       let points = List.sort compare (Hashtbl.fold (fun c () a -> c :: a) chosen []) in
       List.iter (fun c ->
         incr swept;
-        (match Hashtbl.find_opt phase_of c with
-        | Some p ->
-            Hashtbl.replace phase_hits p (1 + Option.value ~default:0 (Hashtbl.find_opt phase_hits p))
-        | None -> ());
+        Option.iter (bump phase_hits) (Hashtbl.find_opt phase_of c);
         let dir = fresh_scratch (Printf.sprintf "%s-%d" mode_name c) in
         Disk.reset_ops ();
         Disk.install (Disk.plan ~crash_at:c ~seed:(seed lxor (c * 7919)) ());
@@ -1591,9 +1332,9 @@ let crash_bench_cmd =
         (try
            let st = build mode dir in
            Array.iter
-             (fun ((ins, e) : bool * I.t) ->
+             (fun op ->
                incr issued;
-               if ins then DS.insert st e else DS.delete st e;
+               apply st op;
                incr acked)
              ops;
            DS.close st
@@ -1602,9 +1343,8 @@ let crash_bench_cmd =
         let fail fmt =
           Printf.ksprintf
             (fun msg ->
-              incr violations;
-              if !violations <= 5 then
-                Printf.printf "  VIOLATION %s@op%d: %s\n%!" mode_name c msg)
+              Check.Tally.flag violations
+                (Printf.sprintf "VIOLATION %s@op%d: %s" mode_name c msg))
             fmt
         in
         (match DS.recover ~params ~buffer_cap ~fanout ~mode ~metrics ~dir () with
@@ -1618,7 +1358,7 @@ let crash_bench_cmd =
             if mode = Store.Sync && r < !acked then
               fail "recovered prefix %d < %d sync-acknowledged" r !acked;
             let got = live_ids st' in
-            let want = oracle_ids r in
+            let want = Timeline.ids_at timeline r in
             if got <> want then
               fail "surviving set (%d ids) differs from oracle prefix %d (%d ids)"
                 (List.length got) r (List.length want);
@@ -1634,18 +1374,11 @@ let crash_bench_cmd =
       "swept %d crash points: %d recoveries, %d torn tails truncated, %d \
        checksum failures\n"
       !swept !recoveries torn cksum;
-    let phases = [ "wal-append"; "seal"; "merge"; "manifest" ] in
-    Printf.printf "phase coverage:%s\n"
-      (String.concat ""
-         (List.map
-            (fun p ->
-              Printf.sprintf " %s=%d" p
-                (Option.value ~default:0 (Hashtbl.find_opt phase_hits p)))
-            phases));
+    Printf.printf "phase coverage:%s\n" (coverage_line phase_hits phases);
     (* Hard failures: this bench exists to catch them. *)
-    if !violations > 0 then
-      die "%d acked-prefix/oracle violations across %d crash points" !violations
-        !swept;
+    if Check.Tally.count violations > 0 then
+      die "%d acked-prefix/oracle violations across %d crash points"
+        (Check.Tally.count violations) !swept;
     (* No corruption was injected, so any checksum failure is an
        integrity bug in the durable formats themselves. *)
     if cksum > 0 then die "%d checksum failures without injected corruption" cksum;
@@ -1668,72 +1401,32 @@ let crash_bench_cmd =
           sync-acknowledged one.  Hard-fails on any violation, any \
           checksum failure, or a phase never hit.")
     Term.(
-      const run $ n_arg $ k_arg $ seed_arg $ updates_arg $ crashes_arg
-      $ buffer_cap_arg $ fanout_arg $ checkpoint_every_arg $ group_arg)
+      const run $ n_arg $ k_arg $ seed_arg $ updates_arg 400 $ crashes_arg
+      $ buffer_cap_arg ~docv:"B" 64 $ fanout_arg 2 $ checkpoint_every_arg
+      $ group_arg)
 
 (* --- repl-bench --- *)
 
 let repl_bench_cmd =
   let module IInst = Topk_interval.Instances in
-  let module I = Topk_interval.Interval in
   let module Rng = Topk_util.Rng in
   let module Transport = Topk_repl.Transport in
-  let module G = Topk_repl.Group.Make (IInst.Topk_t2) in
+  let module G = Replicated.G in
   let module Svc = Topk_service in
-  let base_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "n" ] ~docv:"N" ~doc:"Base elements shared by every node.")
-  in
-  let updates_arg =
-    Arg.(
-      value & opt int 140
-      & info [ "updates" ] ~docv:"U"
-          ~doc:"Inserts + deletes in the update stream, per fault point.")
-  in
   let points_arg =
-    Arg.(
-      value & opt int 120
-      & info [ "points" ] ~docv:"P"
-          ~doc:"Seeded fault points swept (the full law wants >= 100).")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "replicas" ] ~docv:"R" ~doc:"Read replicas per group (>= 2).")
+    int_arg "points" ~docv:"P"
+      ~doc:"Seeded fault points swept (the full law wants >= 100)." 120
   in
   let quorum_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "quorum" ] ~docv:"Q"
-          ~doc:"Replica acks a synced write waits for (in [1, R]).")
-  in
-  let buffer_cap_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "buffer-cap" ] ~docv:"B" ~doc:"Update-log capacity.")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "fanout" ] ~docv:"F" ~doc:"Merge arity per level (>= 2).")
+    int_arg "quorum" ~docv:"Q"
+      ~doc:"Replica acks a synced write waits for (in [1, R])." 2
   in
   let retain_arg =
-    Arg.(
-      value & opt int 48
-      & info [ "retain" ] ~docv:"W"
-          ~doc:
-            "Outlog retention in entries: a replica partitioned for longer \
-             is caught up by snapshot install.")
-  in
-  let clean_arg =
-    Arg.(
-      value & flag
-      & info [ "clean" ]
-          ~doc:
-            "Disable randomized frame faults (drop/duplicate/reorder/delay); \
-             scheduled partitions and primary failures still run — \
-             clean-path sanity.")
+    int_arg "retain" ~docv:"W"
+      ~doc:
+        "Outlog retention in entries: a replica partitioned for longer is \
+         caught up by snapshot install."
+      48
   in
   let run n k seed updates points replicas quorum buffer_cap fanout retain
       clean =
@@ -1751,41 +1444,24 @@ let repl_bench_cmd =
        buffer-cap=%d fanout=%d retain=%d\n%!"
       n updates points replicas quorum buffer_cap fanout retain;
     let params = IInst.params () in
-    let mk_elem rng id =
-      let lo = Rng.uniform rng in
-      let hi = Float.min 1.0 (lo +. 0.02 +. (0.3 *. Rng.uniform rng)) in
-      (* Weights are distinct by construction (strictly increasing in
-         id), so the oracle's top-k is unique and answers compare by
-         id set. *)
-      I.make ~id ~lo ~hi ~weight:(float_of_int id +. (0.5 *. Rng.uniform rng)) ()
-    in
     let base =
       let rng = Rng.create seed in
-      Array.init n (fun i -> mk_elem rng (i + 1))
+      Array.init n (fun i ->
+          Ops.interval ~span:Short ~weight:(Distinct 0.5) rng (i + 1))
     in
     let metrics = Svc.Metrics.create () in
     let phases = [| "ship"; "ack"; "install"; "promote" |] in
     let phase_hits = Hashtbl.create 8 in
-    let violations = ref 0
-    and converged = ref 0
+    let violations = Check.Tally.create ~show:5 in
+    let converged = ref 0
     and swept = ref 0
     and rw_checks = ref 0
     and installs_total = ref 0
     and failovers_total = ref 0 in
-    let fail point phase fmt =
-      Printf.ksprintf
-        (fun msg ->
-          incr violations;
-          if !violations <= 5 then
-            Printf.printf "  VIOLATION point=%d phase=%s: %s\n%!" point phase
-              msg)
-        fmt
-    in
     for p = 0 to points - 1 do
       incr swept;
       let phase = phases.(p mod Array.length phases) in
-      Hashtbl.replace phase_hits phase
-        (1 + Option.value ~default:0 (Hashtbl.find_opt phase_hits phase));
+      bump phase_hits phase;
       let pseed = seed lxor (p * 7919) lxor 0x5bd1 in
       let rng = Rng.create pseed in
       let plan =
@@ -1803,37 +1479,11 @@ let repl_bench_cmd =
         G.create ~params ~buffer_cap ~fanout ~retain ~plan ~metrics ~quorum
           ~max_pump:60 ~name:"repl" ~replicas base
       in
-      (* The surviving timeline, newest first; op at seq [s] is element
-         [hist_len - s] from the head.  A failover truncates it to the
-         promoted head — which must not lose a synced write. *)
-      let hist = ref [] and hist_len = ref 0 in
-      let push op =
-        hist := op :: !hist;
-        incr hist_len
+      let r =
+        Replicated.create g ~base ~fail:(fun msg ->
+            Check.Tally.flag violations
+              (Printf.sprintf "VIOLATION point=%d phase=%s: %s" p phase msg))
       in
-      let truncate_to h =
-        while !hist_len > h do
-          hist := List.tl !hist;
-          decr hist_len
-        done
-      in
-      let live_at r =
-        let tbl = Hashtbl.create (2 * n) in
-        Array.iter (fun (e : I.t) -> Hashtbl.replace tbl e.I.id e) base;
-        List.iteri
-          (fun i ((ins, e) : bool * I.t) ->
-            if i + 1 <= r then
-              if ins then Hashtbl.replace tbl e.I.id e
-              else Hashtbl.remove tbl e.I.id)
-          (List.rev !hist);
-        tbl
-      in
-      let oracle_ids r =
-        List.sort compare (Hashtbl.fold (fun id _ a -> id :: a) (live_at r) [])
-      in
-      let synced_seqs = ref [] and last_synced = ref 0 in
-      let next_id = ref (n + 1) in
-      let del_pool = ref [] in
       let victim = 1 + (p / Array.length phases mod replicas) in
       let promote_at =
         match phase with
@@ -1859,114 +1509,30 @@ let repl_bench_cmd =
         done
       in
       for u = 1 to updates do
-        if u = promote_at then begin
-          (match G.fail_primary g with
-          | _new_primary ->
-              incr failovers_total;
-              let h = G.head g in
-              List.iter
-                (fun s ->
-                  if s > h then
-                    fail p phase
-                      "synced write seq %d lost by failover (promoted head %d)"
-                      s h)
-                !synced_seqs;
-              truncate_to h;
-              synced_seqs := List.filter (fun s -> s <= h) !synced_seqs;
-              last_synced := min !last_synced h;
-              del_pool :=
-                Hashtbl.fold
-                  (fun id e acc -> if id > n then e :: acc else acc)
-                  (live_at h) []
-          | exception Invalid_argument msg ->
-              fail p phase "failover refused: %s" msg)
-        end;
+        if u = promote_at && Replicated.failover r then incr failovers_total;
         if u = partition_at then
           if phase = "install" then G.partition g victim else cut_acks ();
         if u = heal_at then
           if phase = "install" then G.rejoin g victim else heal_acks ();
-        let ins = Rng.uniform rng <= 0.72 || !del_pool = [] in
-        let outcome =
-          if ins then begin
-            let e = mk_elem rng !next_id in
-            incr next_id;
-            del_pool := e :: !del_pool;
-            push (true, e);
-            G.insert g e
-          end
-          else begin
-            let i = Rng.int rng (List.length !del_pool) in
-            let e = List.nth !del_pool i in
-            del_pool := List.filteri (fun j _ -> j <> i) !del_pool;
-            push (false, e);
-            G.delete g e
-          end
-        in
-        if G.write_seq outcome <> !hist_len then
-          fail p phase "write got seq %d, issued %d" (G.write_seq outcome)
-            !hist_len;
-        if G.synced outcome then begin
-          synced_seqs := !hist_len :: !synced_seqs;
-          last_synced := !hist_len
-        end;
+        Replicated.write r rng ~insert_ratio:0.72;
         (* Read-your-writes probe: a read carrying the last synced seq
            as its token must answer at or above it, exactly per the
            from-scratch oracle at the answering snapshot's seq. *)
-        if u mod 13 = 0 && !last_synced > 0 then begin
+        let floor = Replicated.last_synced r in
+        if u mod 13 = 0 && floor > 0 then begin
           incr rw_checks;
           let q = Rng.uniform rng in
-          match
-            G.read ~consistency:(Svc.Consistency.At_least !last_synced) g q ~k
-          with
-          | None -> fail p phase "read refused a satisfiable token %d"
-              !last_synced
-          | Some resp -> (
-              match Svc.Response.seq_token resp with
-              | None -> fail p phase "replicated read lost its seq token"
-              | Some tok ->
-                  if tok < !last_synced then
-                    fail p phase "stale read: token %d under At_least floor %d" tok
-                      !last_synced
-                  else begin
-                    let lives =
-                      Hashtbl.fold (fun _ e a -> e :: a) (live_at tok) []
-                    in
-                    let want =
-                      List.sort compare
-                        (List.map
-                           (fun (e : I.t) -> e.I.id)
-                           (Topk_util.Select.top_k ~cmp:I.compare_weight k
-                              (List.filter (fun e -> I.contains e q) lives)))
-                    in
-                    let got =
-                      List.sort compare
-                        (List.map
-                           (fun (e : I.t) -> e.I.id)
-                           resp.Svc.Response.answers)
-                    in
-                    if got <> want then
-                      fail p phase
-                        "replica answer at seq %d differs from the oracle" tok
-                  end)
+          ignore
+            (Replicated.read r ~consistency:(Svc.Consistency.At_least floor)
+               ~floor q ~k
+              : _ option)
         end
       done;
       (* Heal every fault and require convergence: all live nodes catch
          up to the head and agree with the from-scratch oracle. *)
       (if phase = "install" then G.rejoin g victim
        else if phase = "ack" then heal_acks ());
-      if G.settle ~max_ticks:5000 g then incr converged
-      else fail p phase "group did not converge after healing";
-      let want = oracle_ids (G.head g) in
-      for i = 0 to G.nodes g - 1 do
-        if G.alive g i then begin
-          let got =
-            List.sort compare
-              (List.map (fun (e : I.t) -> e.I.id) (G.R.live (G.node g i)))
-          in
-          if got <> want then
-            fail p phase "node %d's surviving set differs from the oracle" i
-        end
-      done;
+      if Replicated.converge r ~max_ticks:5000 then incr converged;
       for i = 0 to G.nodes g - 1 do
         installs_total := !installs_total + G.R.installs (G.node g i)
       done
@@ -1976,15 +1542,11 @@ let repl_bench_cmd =
        snapshot installs, %d failovers\n"
       !swept !converged !rw_checks !installs_total !failovers_total;
     Printf.printf "phase coverage:%s\n"
-      (String.concat ""
-         (List.map
-            (fun ph ->
-              Printf.sprintf " %s=%d" ph
-                (Option.value ~default:0 (Hashtbl.find_opt phase_hits ph)))
-            (Array.to_list phases)));
+      (coverage_line phase_hits (Array.to_list phases));
     (* Hard failures: this bench exists to catch them. *)
-    if !violations > 0 then
-      die "%d consistency violations across %d fault points" !violations !swept;
+    if Check.Tally.count violations > 0 then
+      die "%d consistency violations across %d fault points"
+        (Check.Tally.count violations) !swept;
     if !converged < !swept then
       die "%d fault points failed to recover" (!swept - !converged);
     Array.iter
@@ -2017,74 +1579,40 @@ let repl_bench_cmd =
           lost across failover.  Hard-fails on any violation or an \
           uncovered fault phase (ship/ack/install/promote).")
     Term.(
-      const run $ base_arg $ k_arg $ seed_arg $ updates_arg $ points_arg
-      $ replicas_arg $ quorum_arg $ buffer_cap_arg $ fanout_arg $ retain_arg
-      $ clean_arg)
+      const run $ base_arg $ k_arg $ seed_arg
+      $ updates_arg ~doc:"Inserts + deletes in the update stream, per fault point."
+          140
+      $ points_arg
+      $ replicas_arg ~doc:"Read replicas per group (>= 2)." 3
+      $ quorum_arg $ buffer_cap_arg ~docv:"B" 16 $ fanout_arg 2 $ retain_arg
+      $ clean_arg
+          ~doc:
+            "Disable randomized frame faults (drop/duplicate/reorder/delay); \
+             scheduled partitions and primary failures still run — \
+             clean-path sanity.")
 
 (* --- cache-bench --- *)
 
 let cache_bench_cmd =
   let module IInst = Topk_interval.Instances in
-  let module I = Topk_interval.Interval in
   let module Rng = Topk_util.Rng in
   let module Transport = Topk_repl.Transport in
-  let module G = Topk_repl.Group.Make (IInst.Topk_t2) in
+  let module G = Replicated.G in
   let module Svc = Topk_service in
   let module Cache = Topk_cache.Cache in
-  let base_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "n" ] ~docv:"N" ~doc:"Base elements shared by every node.")
-  in
-  let queries_arg =
-    Arg.(
-      value & opt int 2400
-      & info [ "queries" ] ~docv:"Q" ~doc:"Reads replayed against the group.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "distinct" ] ~docv:"D"
-          ~doc:"Distinct query points in the Zipf-sampled pool.")
-  in
-  let theta_arg =
-    Arg.(
-      value & opt float 1.2
-      & info [ "theta" ] ~docv:"THETA"
-          ~doc:"Zipf skew exponent over the query pool (> 0).")
-  in
   let write_every_arg =
-    Arg.(
-      value & opt int 40
-      & info [ "write-every" ] ~docv:"W"
-          ~doc:"Interleave one insert/delete every W reads.")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "replicas" ] ~docv:"R" ~doc:"Read replicas in the group (>= 2).")
+    int_arg "write-every" ~docv:"W"
+      ~doc:"Interleave one insert/delete every W reads." 40
   in
   let min_hit_rate_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "min-hit-rate" ] ~docv:"H"
-          ~doc:"Hard-fail below this cache hit rate (cached pass only).")
+    float_arg "min-hit-rate" ~docv:"H"
+      ~doc:"Hard-fail below this cache hit rate (cached pass only)." 0.5
   in
   let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Run only the uncached baseline pass (oracle checks still \
-             apply; hit-rate and I/O-reduction gates are skipped).")
-  in
-  let clean_arg =
-    Arg.(
-      value & flag
-      & info [ "clean" ]
-          ~doc:
-            "Disable randomized frame faults on the replication \
-             transport; the mid-run failover still happens.")
+    flag_arg "no-cache"
+      ~doc:
+        "Run only the uncached baseline pass (oracle checks still apply; \
+         hit-rate and I/O-reduction gates are skipped)."
   in
   let run n k seed queries distinct theta write_every replicas min_hit_rate
       no_cache clean =
@@ -2103,36 +1631,12 @@ let cache_bench_cmd =
       n queries distinct theta write_every replicas
       (if no_cache then " (no-cache)" else "");
     let params = IInst.params () in
-    let mk_elem rng id =
-      let lo = Rng.uniform rng in
-      let hi = Float.min 1.0 (lo +. 0.02 +. (0.3 *. Rng.uniform rng)) in
-      (* Strictly increasing distinct weights: the oracle's top-k is
-         unique, so answers compare by id set. *)
-      I.make ~id ~lo ~hi ~weight:(float_of_int id +. (0.5 *. Rng.uniform rng)) ()
-    in
     let base =
       let rng = Rng.create seed in
-      Array.init n (fun i -> mk_elem rng (i + 1))
+      Array.init n (fun i ->
+          Ops.interval ~span:Short ~weight:(Distinct 0.5) rng (i + 1))
     in
-    (* Zipf sampler over ranks 1..distinct: P(r) proportional to
-       1/r^theta, inverted by scanning the cumulative weights. *)
-    let zipf_cum =
-      let c = Array.make distinct 0.0 in
-      let acc = ref 0.0 in
-      for r = 0 to distinct - 1 do
-        acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) theta);
-        c.(r) <- !acc
-      done;
-      c
-    in
-    let zipf rng =
-      let u = Rng.uniform rng *. zipf_cum.(distinct - 1) in
-      let i = ref 0 in
-      while !i < distinct - 1 && zipf_cum.(!i) < u do
-        incr i
-      done;
-      !i
-    in
+    let zipf = Topk_util.Gen.zipf ~distinct ~theta in
     let qpool =
       let rng = Rng.create (seed lxor 0x51f3) in
       Array.init distinct (fun _ -> Rng.uniform rng)
@@ -2162,44 +1666,16 @@ let cache_bench_cmd =
         G.create ~params ~buffer_cap:16 ~fanout:2 ~retain:64 ~plan ~metrics
           ~quorum:2 ~max_pump:120 ?cache ~name:"cache" ~replicas base
       in
-      let violations = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            incr violations;
-            if !violations <= 5 then
-              Printf.printf "  VIOLATION (%scached): %s\n%!"
-                (if use_cache then "" else "un")
-                msg)
-          fmt
+      let violations = Check.Tally.create ~show:5 in
+      let fail msg =
+        Check.Tally.flag violations
+          (Printf.sprintf "VIOLATION (%scached): %s"
+             (if use_cache then "" else "un")
+             msg)
       in
-      let hist = ref [] and hist_len = ref 0 in
-      let push op =
-        hist := op :: !hist;
-        incr hist_len
-      in
-      let truncate_to h =
-        while !hist_len > h do
-          hist := List.tl !hist;
-          decr hist_len
-        done
-      in
-      let live_at r =
-        let tbl = Hashtbl.create (2 * n) in
-        Array.iter (fun (e : I.t) -> Hashtbl.replace tbl e.I.id e) base;
-        List.iteri
-          (fun i ((ins, e) : bool * I.t) ->
-            if i + 1 <= r then
-              if ins then Hashtbl.replace tbl e.I.id e
-              else Hashtbl.remove tbl e.I.id)
-          (List.rev !hist);
-        tbl
-      in
+      let r = Replicated.create g ~base ~fail in
       let wrng = Rng.create (seed lxor 0x9e37)
       and qrng = Rng.create (seed lxor 0x7f4a) in
-      let last_synced = ref 0 and synced_seqs = ref [] in
-      let next_id = ref (n + 1) in
-      let del_pool = ref [] in
       let reads = ref 0
       and rw_probes = ref 0
       and served_hits = ref 0
@@ -2207,138 +1683,42 @@ let cache_bench_cmd =
       and failovers = ref 0 in
       for i = 1 to queries do
         if i = failover_at then begin
-          (match G.fail_primary g with
-          | _new_primary ->
-              incr failovers;
-              let h = G.head g in
-              List.iter
-                (fun s ->
-                  if s > h then
-                    fail "synced write seq %d lost by failover (head %d)" s h)
-                !synced_seqs;
-              truncate_to h;
-              synced_seqs := List.filter (fun s -> s <= h) !synced_seqs;
-              last_synced := min !last_synced h;
-              del_pool :=
-                Hashtbl.fold
-                  (fun id e acc -> if id > n then e :: acc else acc)
-                  (live_at h) []
-          | exception Invalid_argument msg -> fail "failover refused: %s" msg);
+          if Replicated.failover r then incr failovers;
           ignore (G.settle ~max_ticks:4000 g)
         end;
         if i mod write_every = 0 then begin
-          let ins = Rng.uniform wrng <= 0.7 || !del_pool = [] in
-          let outcome =
-            if ins then begin
-              let e = mk_elem wrng !next_id in
-              incr next_id;
-              del_pool := e :: !del_pool;
-              push (true, e);
-              G.insert g e
-            end
-            else begin
-              let j = Rng.int wrng (List.length !del_pool) in
-              let e = List.nth !del_pool j in
-              del_pool := List.filteri (fun l _ -> l <> j) !del_pool;
-              push (false, e);
-              G.delete g e
-            end
-          in
-          if G.write_seq outcome <> !hist_len then
-            fail "write got seq %d, issued %d" (G.write_seq outcome) !hist_len;
-          if G.synced outcome then begin
-            synced_seqs := !hist_len :: !synced_seqs;
-            last_synced := !hist_len
-          end;
+          Replicated.write r wrng ~insert_ratio:0.7;
           (* Let the replicas catch up so the hot keys re-warm at the
              new head; the cache must drop to the recomputed answers
              on its own — staleness here is a hard violation below. *)
           ignore (G.settle ~max_ticks:4000 g)
         end;
         let q = qpool.(zipf qrng) in
-        let consistency, floor_tok =
-          if i mod 7 = 0 && !last_synced > 0 then begin
+        let last_synced = Replicated.last_synced r in
+        let consistency, floor =
+          if i mod 7 = 0 && last_synced > 0 then begin
             incr rw_probes;
-            (Svc.Consistency.At_least !last_synced, !last_synced)
+            (Svc.Consistency.At_least last_synced, last_synced)
           end
           else if i mod 11 = 0 then (Svc.Consistency.Max_lag 3, 0)
           else (Svc.Consistency.Any, 0)
         in
         incr reads;
-        match G.read ~consistency g q ~k with
-        | None ->
-            fail "read %d refused (%s)" i
-              (Svc.Consistency.to_string consistency)
-        | Some resp -> (
-            (match resp.Svc.Response.status with
-            | Svc.Response.Complete -> ()
-            | st ->
-                fail "read %d not complete: %s" i
-                  (Svc.Response.status_string st));
-            match Svc.Response.seq_token resp with
-            | None -> fail "read %d lost its seq token" i
-            | Some tok ->
-                if tok > !hist_len then
-                  fail
-                    "read %d answered at seq %d beyond the surviving \
-                     timeline %d (a fenced pre-failover answer leaked)"
-                    i tok !hist_len
-                else if tok < floor_tok then
-                  fail "stale read %d: token %d under floor %d" i tok
-                    floor_tok
-                else begin
-                  let lives =
-                    Hashtbl.fold (fun _ e a -> e :: a) (live_at tok) []
-                  in
-                  let want =
-                    List.sort compare
-                      (List.map
-                         (fun (e : I.t) -> e.I.id)
-                         (Topk_util.Select.top_k ~cmp:I.compare_weight k
-                            (List.filter (fun e -> I.contains e q) lives)))
-                  in
-                  let got =
-                    List.sort compare
-                      (List.map
-                         (fun (e : I.t) -> e.I.id)
-                         resp.Svc.Response.answers)
-                  in
-                  if got <> want then
-                    fail
-                      "read %d differs from the from-scratch oracle at seq \
-                       %d (%s)"
-                      i tok
-                      (Svc.Consistency.to_string consistency);
-                  let ios =
-                    (Svc.Response.cost resp).Topk_em.Stats.ios
-                  in
-                  read_ios := !read_ios + ios;
-                  if resp.Svc.Response.worker = -1 then begin
-                    incr served_hits;
-                    if ios <> 0 then
-                      fail "cache hit on read %d charged %d I/Os" i ios
-                  end
-                end)
+        match Replicated.read r ~consistency ~floor q ~k with
+        | None -> ()
+        | Some resp ->
+            let ios = (Svc.Response.cost resp).Topk_em.Stats.ios in
+            read_ios := !read_ios + ios;
+            if resp.Svc.Response.worker = -1 then begin
+              incr served_hits;
+              if ios <> 0 then
+                Printf.ksprintf fail "cache hit on read %d charged %d I/Os" i ios
+            end
       done;
-      if not (G.settle ~max_ticks:8000 g) then
-        fail "group did not converge after the replay";
-      let want_final =
-        List.sort compare
-          (Hashtbl.fold (fun id _ a -> id :: a) (live_at !hist_len) [])
-      in
-      for j = 0 to G.nodes g - 1 do
-        if G.alive g j then begin
-          let got =
-            List.sort compare
-              (List.map (fun (e : I.t) -> e.I.id) (G.R.live (G.node g j)))
-          in
-          if got <> want_final then
-            fail "node %d's surviving set differs from the oracle" j
-        end
-      done;
+      ignore (Replicated.converge r ~max_ticks:8000 : bool);
       let hits = Svc.Metrics.Counter.get metrics.Svc.Metrics.cache_hits in
       let misses = Svc.Metrics.Counter.get metrics.Svc.Metrics.cache_misses in
-      ( !violations,
+      ( Check.Tally.count violations,
         !reads,
         !rw_probes,
         !served_hits,
@@ -2408,82 +1788,40 @@ let cache_bench_cmd =
           the required hit rate, and total charged read I/O must drop \
           versus the uncached pass.  Hard-fails on any violation.")
     Term.(
-      const run $ base_arg $ k_arg $ seed_arg $ queries_arg $ distinct_arg
-      $ theta_arg $ write_every_arg $ replicas_arg $ min_hit_rate_arg
-      $ no_cache_arg $ clean_arg)
+      const run $ base_arg $ k_arg $ seed_arg
+      $ queries_arg ~doc:"Reads replayed against the group." 2400
+      $ distinct_arg 24 $ theta_arg $ write_every_arg
+      $ replicas_arg ~doc:"Read replicas in the group (>= 2)." 2
+      $ min_hit_rate_arg $ no_cache_arg
+      $ clean_arg
+          ~doc:
+            "Disable randomized frame faults on the replication transport; \
+             the mid-run failover still happens.")
 
 (* --- sched-bench --- *)
 
 let sched_bench_cmd =
-  let module Svc = Topk_service in
   let module Lane = Topk_service.Lane in
   let module Sched = Topk_service.Sched in
-  let module Stats = Topk_em.Stats in
-  let module Rng = Topk_util.Rng in
-  let module IInst = Topk_interval.Instances in
-  let module I = Topk_interval.Interval in
-  let module Ing = Topk_ingest.Ingest.Make (IInst.Topk_t2) in
-  let n_arg =
-    Arg.(
-      value & opt int 1500
-      & info [ "n" ] ~docv:"N" ~doc:"Base elements in the live index.")
-  in
+  let n_arg = int_arg "n" ~docv:"N" ~doc:"Base elements in the live index." 1500 in
   let rounds_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "rounds" ] ~docv:"R"
-          ~doc:"Update/storm/query rounds per pass.")
+    int_arg "rounds" ~docv:"R" ~doc:"Update/storm/query rounds per pass." 25
   in
   let qpr_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "queries-per-round" ] ~docv:"Q"
-          ~doc:"Interactive queries issued per round.")
+    int_arg "queries-per-round" ~docv:"Q"
+      ~doc:"Interactive queries issued per round." 16
   in
   let upr_arg =
-    Arg.(
-      value & opt int 160
-      & info [ "updates-per-round" ] ~docv:"U"
-          ~doc:"Inserts/deletes applied per round (feeds the merge storm).")
+    int_arg "updates-per-round" ~docv:"U"
+      ~doc:"Inserts/deletes applied per round (feeds the merge storm)." 160
   in
   let storm_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "storm" ] ~docv:"S"
-          ~doc:"Synthetic batch-lane storm tasks submitted per round.")
+    int_arg "storm" ~docv:"S"
+      ~doc:"Synthetic batch-lane storm tasks submitted per round." 8
   in
   let storm_ms_arg =
-    Arg.(
-      value & opt float 3.0
-      & info [ "storm-ms" ] ~docv:"MS"
-          ~doc:"Wall-clock milliseconds each storm task burns.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "distinct" ] ~docv:"D"
-          ~doc:"Distinct query points in the Zipf-sampled pool.")
-  in
-  let theta_arg =
-    Arg.(
-      value & opt float 1.2
-      & info [ "theta" ] ~docv:"THETA"
-          ~doc:"Zipf skew exponent over the query pool (> 0).")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
-  in
-  let buffer_cap_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "buffer-cap" ] ~docv:"C" ~doc:"Update-log capacity.")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "fanout" ] ~docv:"F" ~doc:"Merge arity per level (>= 2).")
+    float_arg "storm-ms" ~docv:"MS"
+      ~doc:"Wall-clock milliseconds each storm task burns." 3.0
   in
   let only_arg =
     Arg.(
@@ -2514,242 +1852,52 @@ let sched_bench_cmd =
           "sched-bench: n=%d rounds=%d queries/round=%d updates/round=%d \
            storm=%dx%.1fms workers=%d k=%d buffer-cap=%d fanout=%d\n%!"
           n rounds qpr upr storm storm_ms workers k buffer_cap fanout;
-        (* The Zipf query pool is fixed up front, shared by both
-           passes. *)
-        let qpool =
-          let qrng = Rng.create (seed lxor 0x51f3) in
-          Array.init distinct (fun _ -> Rng.uniform qrng)
-        in
-        let zipf_cum =
-          let c = Array.make distinct 0.0 in
-          let acc = ref 0.0 in
-          for r = 0 to distinct - 1 do
-            acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) theta);
-            c.(r) <- !acc
-          done;
-          c
-        in
-        let zipf rng =
-          let u = Rng.uniform rng *. zipf_cum.(distinct - 1) in
-          let i = ref 0 in
-          while !i < distinct - 1 && zipf_cum.(!i) < u do
-            incr i
-          done;
-          !i
-        in
-        (* Strictly increasing distinct weights: the oracle's top-k is
-           unique, so answers compare by id list. *)
-        let mk_elem rng id =
-          let lo = Rng.uniform rng in
-          let hi = Float.min 1.0 (lo +. 0.02 +. (0.3 *. Rng.uniform rng)) in
-          I.make ~id ~lo ~hi
-            ~weight:(float_of_int id +. (0.5 *. Rng.uniform rng))
-            ()
-        in
-        let ids l = List.map (fun (e : I.t) -> e.I.id) l in
-        let p99 latencies =
-          let a = Array.of_list latencies in
-          Array.sort Float.compare a;
-          let len = Array.length a in
-          a.(max 0 (int_of_float (ceil (0.99 *. float_of_int len)) - 1))
-        in
         let aging_bound =
           let cfg = Sched.default_config () in
           cfg.Sched.aging_rounds + Lane.count
         in
-        (* One full pass over the identical seeded schedule.  The
-           surviving set is fixed caller-side before each round's query
-           burst (merges only restructure runs, never change the
-           answer), so every pooled query racing the storm must still
-           equal the from-scratch oracle. *)
+        (* One full pass over the identical seeded schedule; every
+           pooled query racing the storm must equal the from-scratch
+           oracle. *)
         let run_pass ~unified =
-          let label = if unified then "unified" else "lanes" in
-          let lanes_cfg =
-            if unified then Sched.unified_config () else Sched.default_config ()
+          let (r : Topk_scenario.Sched_pass.result) =
+            Topk_scenario.Sched_pass.run ~unified ~n ~k ~seed ~rounds ~qpr ~upr
+              ~storm ~storm_ms ~distinct ~theta ~workers ~buffer_cap ~fanout
+              ~insert_ratio:0.7
           in
-          (* batch_max 1: every dequeue is a scheduling decision, so
-             the weighted-fair policy (or the FIFO baseline) is what's
-             actually measured — a bigger batch would let one worker
-             swallow the whole storm in a single grant. *)
-          let pool = Svc.Executor.create ~workers ~batch_max:1 ~lanes:lanes_cfg () in
-          let m = Svc.Executor.metrics pool in
-          let rng = Rng.create seed in
-          let base = Array.init n (fun i -> mk_elem rng (i + 1)) in
-          let t =
-            Ing.create ~params:(IInst.params ()) ~buffer_cap ~fanout ~pool base
-          in
-          let live = Hashtbl.create (2 * n) in
-          Array.iter (fun (e : I.t) -> Hashtbl.replace live e.I.id e) base;
-          let next_id = ref (n + 1) in
-          let one_update () =
-            let insert () =
-              let e = mk_elem rng !next_id in
-              incr next_id;
-              Hashtbl.replace live e.I.id e;
-              Ing.insert t e
-            in
-            (* 70% inserts, the rest delete a live element (falling
-               back to an insert when the bounded probe misses). *)
-            if Rng.uniform rng <= 0.7 then insert ()
-            else begin
-              let victim = ref None in
-              let tries = ref 0 in
-              while !victim = None && !tries < 64 do
-                incr tries;
-                let id = 1 + Rng.int rng (!next_id - 1) in
-                match Hashtbl.find_opt live id with
-                | Some e -> victim := Some e
-                | None -> ()
-              done;
-              match !victim with
-              | Some e ->
-                  Hashtbl.remove live e.I.id;
-                  Ing.delete t e
-              | None -> insert ()
-            end
-          in
-          let oracle_memo = Array.make distinct None in
-          let oracle qi =
-            match oracle_memo.(qi) with
-            | Some ans -> ans
-            | None ->
-                let q = qpool.(qi) in
-                let ans =
-                  ids
-                    (Topk_util.Select.top_k ~cmp:I.compare_weight k
-                       (Hashtbl.fold
-                          (fun _ e acc ->
-                            if I.contains e q then e :: acc else acc)
-                          live []))
-                in
-                oracle_memo.(qi) <- Some ans;
-                ans
-          in
-          let spin () =
-            let stop = Unix.gettimeofday () +. (storm_ms /. 1e3) in
-            while Unix.gettimeofday () < stop do
-              ignore (Sys.opaque_identity ())
-            done
-          in
-          (* Warm the pool (domain spawn is ms-scale) so startup
-             doesn't land on the first measured queries. *)
-          ignore
-            (Svc.Future.await
-               (Svc.Executor.submit_task pool ~lane:Lane.Interactive
-                  ~name:"warmup" (fun () -> ()))
-              : unit Svc.Response.t);
-          let latencies = ref [] in
-          let mismatched = ref 0 and checked = ref 0 in
-          let maint_done = ref 0 in
-          let maint_futs = ref [] in
-          for _round = 1 to rounds do
-            (* Fix this round's content, feeding the merge storm... *)
-            for _ = 1 to upr do
-              one_update ()
-            done;
-            Array.fill oracle_memo 0 distinct None;
-            (* ...pile synthetic batch work in front of the queries... *)
-            for _ = 1 to storm do
-              ignore
-                (Svc.Executor.submit_task pool ~name:"storm" spin
-                  : unit Svc.Response.t Svc.Future.t)
-            done;
-            (* ...keep the maintenance heartbeat alive... *)
-            maint_futs :=
-              Svc.Executor.submit_task pool ~lane:Lane.Maintenance
-                ~name:"scrub" (fun () -> ())
-              :: !maint_futs;
-            (* ...and race the interactive stream against all of it.
-               Each query is awaited before the next is issued, so its
-               latency measures queueing behind batch work plus its own
-               execution — the thing lane isolation protects — rather
-               than the round's makespan, which is work-conserving and
-               identical under any scheduling policy. *)
-            for _ = 1 to qpr do
-              let qi = zipf rng in
-              let slot = ref [] in
-              let fut =
-                Svc.Executor.submit_task pool ~lane:Lane.Interactive
-                  ~name:"query" (fun () -> slot := Ing.query t qpool.(qi) ~k)
-              in
-              let r = Svc.Future.await fut in
-              incr checked;
-              (match r.Svc.Response.status with
-              | Svc.Response.Complete ->
-                  if ids !slot <> oracle qi then begin
-                    incr mismatched;
-                    if !mismatched <= 3 then
-                      Printf.printf
-                        "  MISMATCH (%s pass, q=%g): got %d ids, oracle %d\n"
-                        label qpool.(qi)
-                        (List.length !slot)
-                        (List.length (oracle qi))
-                  end
-              | _ -> incr mismatched);
-              latencies := r.Svc.Response.latency :: !latencies
-            done
-          done;
-          Ing.freeze t;
-          Svc.Executor.drain pool;
-          List.iter
-            (fun f ->
-              match (Svc.Future.await f).Svc.Response.status with
-              | Svc.Response.Complete -> incr maint_done
-              | _ -> ())
-            !maint_futs;
-          let pool_ios = (Svc.Executor.aggregate_stats pool).Stats.ios in
-          Svc.Executor.shutdown pool;
-          let get c = Svc.Metrics.Counter.get c in
-          let lane_ios =
-            Array.map get m.Svc.Metrics.lane_ios |> Array.to_list
-          in
-          let maint_wait =
-            Svc.Metrics.Histogram.max_value
-              m.Svc.Metrics.lane_wait_rounds.(Lane.index Lane.Maintenance)
-          in
-          let merges = get m.Svc.Metrics.merges in
-          let q99 = p99 !latencies in
+          let label = r.label in
+          let lane_ios = String.concat "+" (List.map string_of_int r.lane_ios) in
+          let q99 = Check.percentile 0.99 r.latencies in
           Printf.printf
             "pass %-7s: %d/%d exact, interactive p99 %.2fms, merges=%d, \
              maintenance %d/%d done (max wait %d rounds), lane I/O %s = \
              pool %d\n%!"
-            label
-            (!checked - !mismatched)
-            !checked (q99 *. 1e3) merges !maint_done rounds maint_wait
-            (String.concat "+" (List.map string_of_int lane_ios))
-            pool_ios;
+            label ((rounds * qpr) - r.mismatched) (rounds * qpr) (q99 *. 1e3) r.merges
+            r.maint_done rounds r.maint_wait lane_ios r.pool_ios;
           (* Hard gates that apply to each pass on its own. *)
-          if !mismatched > 0 then
+          if r.mismatched > 0 then
             die "%s pass: %d answers disagree with the from-scratch oracle"
-              label !mismatched;
-          if !maint_done <> rounds then
+              label r.mismatched;
+          if r.maint_done <> rounds then
             die "%s pass: %d of %d maintenance tasks starved (never ran)"
-              label (rounds - !maint_done) rounds;
-          if merges = 0 then
+              label (rounds - r.maint_done) rounds;
+          if r.merges = 0 then
             die "%s pass: the update stream never merged a level" label;
-          if List.fold_left ( + ) 0 lane_ios <> pool_ios then
+          if List.fold_left ( + ) 0 r.lane_ios <> r.pool_ios then
             die
               "%s pass: per-lane charged I/O (%s) does not sum to the \
                pool's aggregate (%d)"
-              label
-              (String.concat "+" (List.map string_of_int lane_ios))
-              pool_ios;
-          if (not unified) && maint_wait > aging_bound then
+              label lane_ios r.pool_ios;
+          if (not unified) && r.maint_wait > aging_bound then
             die
               "lanes pass: a maintenance task waited %d dispatch rounds \
                (aging bound %d)"
-              maint_wait aging_bound;
+              r.maint_wait aging_bound;
           q99
         in
         match only with
-        | `Lanes ->
-            ignore (run_pass ~unified:false : float);
-            Printf.printf
-              "sched-bench: OK (%d/%d exact, %d/%d maintenance on time, \
-               lane I/O exact)\n"
-              (rounds * qpr) (rounds * qpr) rounds rounds
-        | `Unified ->
-            ignore (run_pass ~unified:true : float);
+        | (`Lanes | `Unified) as pass ->
+            ignore (run_pass ~unified:(pass = `Unified) : float);
             Printf.printf
               "sched-bench: OK (%d/%d exact, %d/%d maintenance on time, \
                lane I/O exact)\n"
@@ -2786,20 +1934,14 @@ let sched_bench_cmd =
           pool's EM aggregate.")
     Term.(
       const run $ n_arg $ k_arg $ seed_arg $ rounds_arg $ qpr_arg $ upr_arg
-      $ storm_arg $ storm_ms_arg $ distinct_arg $ theta_arg $ workers_arg
-      $ buffer_cap_arg $ fanout_arg $ only_arg $ block_arg)
+      $ storm_arg $ storm_ms_arg $ distinct_arg 16 $ theta_arg $ workers_arg 2
+      $ buffer_cap_arg ~docv:"C" 128 $ fanout_arg 2 $ only_arg $ block_arg)
 
 (* --- sample-check --- *)
 
 let sample_check_cmd =
-  let delta_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "delta" ] ~docv:"DELTA" ~doc:"Lemma 1 failure budget.")
-  in
-  let trials_arg =
-    Arg.(value & opt int 500 & info [ "trials" ] ~docv:"T" ~doc:"Trials.")
-  in
+  let delta_arg = float_arg "delta" ~docv:"DELTA" ~doc:"Lemma 1 failure budget." 0.1 in
+  let trials_arg = int_arg "trials" ~docv:"T" ~doc:"Trials." 500 in
   let run n k seed delta trials =
     validate_common ~n ~k;
     require_pos "trials" trials;

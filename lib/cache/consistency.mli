@@ -6,7 +6,7 @@
     cache needed its own staleness rule.  Every query entry point
     ({!Topk_service.Client}, [Scatter.query], [Group.read]) now takes
     one [Consistency.t], and the cache and the router interpret it
-    through {!admits}, {!min_seq} and {!max_lag}. *)
+    through {!admits} and {!max_lag}. *)
 
 type t =
   | Any
@@ -32,9 +32,6 @@ val admits : current:Version.t -> entry:Version.t -> t -> bool
 (** May an answer computed at [entry] serve a read issued when the
     live version is [current]?  Never across terms, never from the
     future; see the per-constructor documentation for the rest. *)
-
-val min_seq : t -> int
-(** The router's per-replica floor implied by this level. *)
 
 val max_lag : t -> int option
 (** The router's staleness bound implied by this level. *)

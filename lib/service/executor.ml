@@ -369,8 +369,6 @@ let lane_depth t lane =
 
 let lanes t = Sched.config t.sched
 
-let retry_policy t = t.retry
-
 (* --- chaos hook --- *)
 
 let inject_worker_crash t idx =
@@ -451,9 +449,6 @@ let submit_task t ?lane ?limits ~name f =
 let try_submit t handle ?lane ?limits q ~k =
   let req, fut = Request.prepare handle ?lane ?limits q ~k in
   if enqueue_nonblocking t req then Some fut else None
-
-let submit_batch t handle ?lane ?limits queries ~k =
-  List.map (fun q -> submit t handle ?lane ?limits q ~k) queries
 
 (* --- lifecycle --- *)
 

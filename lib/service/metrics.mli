@@ -128,8 +128,6 @@ type t = {
 
 val create : unit -> t
 
-val uptime : t -> float
-
 val qps : t -> float
 (** Completed queries per second of uptime. *)
 

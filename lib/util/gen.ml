@@ -86,3 +86,18 @@ let balls rng ~n ~d =
       let center = Array.init d (fun _ -> Rng.uniform rng) in
       let r = power_law_length rng ~lo:0.01 ~hi:0.5 in
       (center, r))
+
+let zipf ~distinct ~theta =
+  let cum = Array.make distinct 0.0 in
+  let acc = ref 0.0 in
+  for r = 0 to distinct - 1 do
+    acc := !acc +. (1.0 /. Float.pow (float_of_int (r + 1)) theta);
+    cum.(r) <- !acc
+  done;
+  fun rng ->
+    let u = Rng.uniform rng *. cum.(distinct - 1) in
+    let i = ref 0 in
+    while !i < distinct - 1 && cum.(!i) < u do
+      incr i
+    done;
+    !i

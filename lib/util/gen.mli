@@ -47,3 +47,9 @@ val halfplanes : Rng.t -> n:int -> (float * float * float) array
 val balls : Rng.t -> n:int -> d:int -> (float array * float) array
 (** [(center, radius)] pairs with centers in the unit cube and radii
     power-law in (0, 1/2]. *)
+
+val zipf : distinct:int -> theta:float -> Rng.t -> int
+(** [zipf ~distinct ~theta] is a sampler of ranks in [[0, distinct)]
+    with [P(r)] proportional to [1/(r+1)^theta]; apply it to an [Rng.t]
+    for one draw (one {!Rng.uniform} each).  The cumulative table is
+    built once, at partial application. *)

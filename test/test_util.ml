@@ -358,6 +358,46 @@ let test_mix_weights_correlation () =
   Alcotest.(check bool) "uncorrelated is shuffled" false
     (Search.is_sorted ~cmp:Float.compare w0)
 
+(* Seed-compat law for the Zipf sampler: the cram file and every
+   Zipf-driven bench (cache-bench, sched-bench, E21) depend on this
+   exact rank stream.  The sequences below are the first 200 draws of
+   the inline sampler that [Gen.zipf] replaced, for seeds 7 and 42. *)
+
+let zipf_golden_16 =
+  [ 2; 0; 12; 9; 3; 0; 1; 2; 6; 0; 10; 0; 15; 2; 0; 6; 5; 15; 0; 0; 2; 5; 14; 14; 6;
+    11; 1; 0; 1; 0; 1; 0; 0; 11; 2; 0; 2; 0; 0; 0; 3; 1; 1; 1; 7; 1; 0; 3; 2; 0;
+    1; 0; 0; 2; 0; 8; 0; 2; 5; 0; 2; 2; 0; 0; 0; 9; 6; 0; 3; 0; 1; 9; 4; 5; 8;
+    0; 0; 8; 2; 0; 1; 0; 7; 2; 0; 0; 0; 10; 0; 0; 8; 5; 0; 0; 0; 0; 1; 0; 0; 6;
+    0; 7; 0; 0; 0; 4; 1; 0; 11; 0; 8; 0; 4; 0; 0; 0; 3; 0; 1; 9; 2; 6; 0; 1; 2;
+    2; 1; 2; 3; 5; 0; 1; 0; 0; 2; 7; 3; 1; 0; 2; 5; 0; 2; 0; 0; 3; 2; 0; 1; 0;
+    2; 1; 0; 0; 0; 15; 1; 0; 7; 0; 0; 2; 3; 0; 3; 8; 0; 0; 0; 0; 3; 2; 0; 1; 0;
+    2; 0; 2; 12; 0; 14; 0; 7; 0; 4; 1; 4; 3; 11; 7; 0; 5; 1; 5; 0; 6; 0; 3; 1; 0 ]
+
+let zipf_golden_64 =
+  [ 9; 0; 0; 0; 58; 1; 1; 0; 20; 1; 21; 37; 40; 0; 0; 32; 0; 1; 0; 12; 2; 1; 7; 3; 4;
+    51; 0; 11; 51; 0; 0; 8; 0; 2; 2; 52; 5; 3; 4; 16; 7; 26; 1; 9; 0; 32; 4; 3; 33; 1;
+    15; 0; 4; 2; 12; 20; 11; 0; 16; 0; 2; 2; 53; 0; 0; 6; 0; 9; 1; 2; 1; 42; 0; 0; 2;
+    48; 59; 7; 3; 1; 41; 22; 0; 60; 6; 36; 1; 1; 2; 23; 1; 15; 4; 1; 1; 11; 5; 2; 2; 9;
+    16; 0; 37; 35; 1; 0; 11; 0; 0; 0; 12; 1; 58; 2; 1; 3; 63; 6; 15; 25; 1; 0; 58; 7; 7;
+    18; 0; 1; 0; 8; 2; 28; 19; 0; 41; 9; 0; 61; 0; 38; 5; 3; 32; 47; 0; 3; 30; 8; 1; 8;
+    31; 30; 12; 29; 1; 2; 40; 25; 1; 0; 2; 11; 61; 46; 0; 46; 18; 8; 12; 6; 8; 2; 11; 24; 3;
+    2; 16; 49; 0; 6; 30; 11; 34; 27; 24; 27; 44; 6; 36; 2; 10; 4; 33; 25; 1; 7; 5; 2; 51; 0 ]
+
+let test_zipf_golden () =
+  List.iter
+    (fun (seed, distinct, theta, want) ->
+      let draw = Gen.zipf ~distinct ~theta in
+      let rng = Rng.create seed in
+      let got = List.init 200 (fun _ -> draw rng) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d, %d ranks, theta %g" seed distinct theta)
+        want got;
+      List.iter
+        (fun r ->
+          if r < 0 || r >= distinct then Alcotest.failf "rank %d out of range" r)
+        (List.init 2000 (fun _ -> draw rng)))
+    [ (7, 16, 1.2, zipf_golden_16); (42, 64, 0.99, zipf_golden_64) ]
+
 let () =
   Alcotest.run "topk_util"
     [
@@ -404,5 +444,6 @@ let () =
             test_halfplanes_unit_normal;
           Alcotest.test_case "weight correlation" `Quick
             test_mix_weights_correlation;
+          Alcotest.test_case "zipf golden stream" `Quick test_zipf_golden;
         ] );
     ]
