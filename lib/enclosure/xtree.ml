@@ -8,8 +8,6 @@ type 'node t = {
   n : int;
 }
 
-let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k)
-
 let build ~make_node rects =
   let n = Array.length rects in
   let endpoints = Array.make (2 * n) 0. in
@@ -19,23 +17,17 @@ let build ~make_node rects =
       endpoints.((2 * i) + 1) <- r.Rect.x2)
     rects;
   let slabs = Slabs.of_endpoints endpoints in
-  let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
+  let leaves = Slabs.leaves slabs in
+  (* Consing in input order hands [make_node] each node's rectangles in
+     reverse input order. *)
   let lists = Array.make (2 * leaves) [] in
-  let assign (r : Rect.t) =
-    let l = Slabs.slab_of_coord slabs r.Rect.x1 in
-    let hi = Slabs.slab_of_coord slabs r.Rect.x2 in
-    let rec go node node_lo node_hi =
-      if l <= node_lo && hi >= node_hi - 1 then
-        lists.(node) <- r :: lists.(node)
-      else begin
-        let mid = (node_lo + node_hi) / 2 in
-        if l < mid then go (2 * node) node_lo mid;
-        if hi >= mid then go ((2 * node) + 1) mid node_hi
-      end
-    in
-    go 1 0 leaves
-  in
-  Array.iter assign rects;
+  Array.iter
+    (fun (r : Rect.t) ->
+      Slabs.iter_canonical ~leaves
+        (Slabs.slab_of_coord slabs r.Rect.x1)
+        (Slabs.slab_of_coord slabs r.Rect.x2)
+        (fun node -> lists.(node) <- r :: lists.(node)))
+    rects;
   let nodes =
     Array.map
       (function

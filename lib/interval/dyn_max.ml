@@ -24,8 +24,6 @@ type t = {
 
 let name = "dyn-slab-max"
 
-let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k)
-
 let build_bucket elems =
   let n = Array.length elems in
   let endpoints = Array.make (2 * n) 0. in
@@ -35,31 +33,20 @@ let build_bucket elems =
       endpoints.((2 * i) + 1) <- itv.Interval.hi)
     elems;
   let slabs = Slabs.of_endpoints endpoints in
-  let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
+  let leaves = Slabs.leaves slabs in
+  (* Consing from the lightest interval up leaves every node's list
+     heaviest first, with no per-node sort. *)
+  let by_weight = Array.copy elems in
+  Array.stable_sort Interval.compare_weight by_weight;
   let lists = Array.make (2 * leaves) [] in
-  let assign (itv : Interval.t) =
-    let l = Slabs.slab_of_coord slabs itv.Interval.lo in
-    let r = Slabs.slab_of_coord slabs itv.Interval.hi in
-    let rec go node node_lo node_hi =
-      if l <= node_lo && r >= node_hi - 1 then
-        lists.(node) <- itv :: lists.(node)
-      else begin
-        let mid = (node_lo + node_hi) / 2 in
-        if l < mid then go (2 * node) node_lo mid;
-        if r >= mid then go ((2 * node) + 1) mid node_hi
-      end
-    in
-    go 1 0 leaves
-  in
-  Array.iter assign elems;
-  let nodes =
-    Array.map
-      (fun l ->
-        let items = Array.of_list l in
-        Array.sort (fun a b -> Interval.compare_weight b a) items;
-        { items; head = 0 })
-      lists
-  in
+  Array.iter
+    (fun (itv : Interval.t) ->
+      Slabs.iter_canonical ~leaves
+        (Slabs.slab_of_coord slabs itv.Interval.lo)
+        (Slabs.slab_of_coord slabs itv.Interval.hi)
+        (fun node -> lists.(node) <- itv :: lists.(node)))
+    by_weight;
+  let nodes = Array.map (fun l -> { items = Array.of_list l; head = 0 }) lists in
   { slabs; nodes; leaves; elems }
 
 let empty () =

@@ -3,31 +3,20 @@ module P = Problem
 
 type t = {
   slabs : Slabs.t;
-  (* Node [i]'s canonical intervals, sorted by decreasing weight.
-     Nodes are 1-based heap order; leaf for slab [s] is [leaves + s]. *)
-  node_lists : Interval.t array array;
+  (* Canonical lists, flat: node [i]'s intervals, by decreasing weight,
+     are [items.(offsets.(i)) .. items.(offsets.(i + 1) - 1)].  Nodes
+     are 1-based heap order; leaf for slab [s] is [leaves + s]. *)
+  items : Interval.t array;
+  offsets : int array;  (* length [2 * leaves + 1] *)
   leaves : int;
   n : int;
 }
 
 let name = "seg-stab"
 
-let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k)
-
-(* Assign the inclusive slab range [l, r] to canonical nodes; a node
-   covers the half-open slab range [node_lo, node_hi). *)
-let assign lists leaves itv l r =
-  let rec go node node_lo node_hi =
-    if l <= node_lo && r >= node_hi - 1 then
-      lists.(node) <- itv :: lists.(node)
-    else begin
-      let mid = (node_lo + node_hi) / 2 in
-      if l < mid then go (2 * node) node_lo mid;
-      if r >= mid then go ((2 * node) + 1) mid node_hi
-    end
-  in
-  go 1 0 leaves
-
+(* One sort of the input by decreasing weight, then two walks over each
+   interval's canonical nodes: the first counts each node's list, the
+   second appends in weight order, so every list comes out sorted. *)
 let build ?params:_ elems =
   let n = Array.length elems in
   let endpoints = Array.make (2 * n) 0. in
@@ -37,30 +26,39 @@ let build ?params:_ elems =
       endpoints.((2 * i) + 1) <- itv.Interval.hi)
     elems;
   let slabs = Slabs.of_endpoints endpoints in
-  let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
-  let lists = Array.make (2 * leaves) [] in
-  Array.iter
-    (fun (itv : Interval.t) ->
+  let leaves = Slabs.leaves slabs in
+  let by_weight = Array.copy elems in
+  Array.stable_sort (fun a b -> Interval.compare_weight b a) by_weight;
+  let ls = Array.make n 0 and rs = Array.make n 0 in
+  let offsets = Array.make ((2 * leaves) + 1) 0 in
+  Array.iteri
+    (fun i (itv : Interval.t) ->
       let l = Slabs.slab_of_coord slabs itv.Interval.lo in
       let r = Slabs.slab_of_coord slabs itv.Interval.hi in
-      assign lists leaves itv l r)
-    elems;
-  let node_lists =
-    Array.map
-      (fun l ->
-        let arr = Array.of_list l in
-        Array.sort (fun a b -> Interval.compare_weight b a) arr;
-        arr)
-      lists
-  in
-  { slabs; node_lists; leaves; n }
+      ls.(i) <- l;
+      rs.(i) <- r;
+      Slabs.iter_canonical ~leaves l r (fun node ->
+          offsets.(node + 1) <- offsets.(node + 1) + 1))
+    by_weight;
+  for node = 1 to 2 * leaves do
+    offsets.(node) <- offsets.(node) + offsets.(node - 1)
+  done;
+  let total = offsets.(2 * leaves) in
+  let items = if total = 0 then [||] else Array.make total by_weight.(0) in
+  let next = Array.sub offsets 0 (2 * leaves) in
+  Array.iteri
+    (fun i itv ->
+      Slabs.iter_canonical ~leaves ls.(i) rs.(i) (fun node ->
+          items.(next.(node)) <- itv;
+          next.(node) <- next.(node) + 1))
+    by_weight;
+  { slabs; items; offsets; leaves; n }
 
 let size t = t.n
 
+(* Counts one word per node, for its offset. *)
 let space_words t =
-  Slabs.space_words t.slabs
-  + Array.fold_left (fun acc l -> acc + Array.length l) 0 t.node_lists
-  + Array.length t.node_lists
+  Slabs.space_words t.slabs + Array.length t.items + (2 * t.leaves)
 
 (* Visit reportable intervals along the root-to-leaf path of [q]'s
    slab; [f] may raise to stop early. *)
@@ -69,17 +67,12 @@ let visit t q ~tau f =
   let node = ref (t.leaves + s) in
   while !node >= 1 do
     Stats.charge_ios 1;
-    let lst = t.node_lists.(!node) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue && !i < Array.length lst do
-      let itv = lst.(!i) in
-      if itv.Interval.weight >= tau then begin
-        Stats.charge_scan 1;
-        f itv;
-        incr i
-      end
-      else continue := false
+    let stop = t.offsets.(!node + 1) in
+    let i = ref t.offsets.(!node) in
+    while !i < stop && t.items.(!i).Interval.weight >= tau do
+      Stats.charge_scan 1;
+      f t.items.(!i);
+      incr i
     done;
     node := !node / 2
   done

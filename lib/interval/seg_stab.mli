@@ -8,6 +8,14 @@
     weight drops below [tau] — every scanned element except the last
     per node is reported, so the cost is [O(log n + t)].
 
+    Layout and build: the canonical lists are stored flat, in one
+    element array with per-node offsets.  The build sorts the input
+    once by decreasing weight, then walks each interval's canonical
+    nodes ({!Slabs.iter_canonical}) twice — once to count each node's
+    list, once to append to it in weight order — so every list comes
+    out sorted with no per-node sort.  [space_words] counts the
+    canonical entries, the coordinates and one word per node.
+
     This substitutes for Tao's ray-stabbing structure [34] (an
     I/O-optimal [O(log_B n + t/B)] structure): same interface, same
     output-sensitivity, a [log n] vs [log_B n] navigation term (the

@@ -12,7 +12,9 @@
 type t
 
 val of_endpoints : float array -> t
-(** Build from any coordinate multiset (deduplicated internally). *)
+(** Build from any coordinate multiset (deduplicated internally): the
+    coordinates are ordered as by [Float.compare], with a monomorphic
+    merge sort that boxes no float. *)
 
 val slab_count : t -> int
 
@@ -27,3 +29,19 @@ val slab_of_coord : t -> float -> int
     @raise Invalid_argument otherwise. *)
 
 val space_words : t -> int
+
+(** {1 Segment trees over the slabs}
+
+    The stabbing structures ({!Seg_stab}, {!Stab_count}, {!Dyn_max}
+    and the enclosure x-tree) share one complete binary tree over the
+    slabs: nodes are numbered 1-based in heap order (node [i]'s
+    children are [2i] and [2i + 1]), the leaf of slab [s] is node
+    [leaves t + s], and a node covers a contiguous slab range. *)
+
+val leaves : t -> int
+(** The smallest power of two [>= slab_count t]. *)
+
+val iter_canonical : leaves:int -> int -> int -> (int -> unit) -> unit
+(** [iter_canonical ~leaves l r f] applies [f] to the canonical nodes
+    of the inclusive slab range [[l, r]] — the [O(log leaves)] maximal
+    nodes whose ranges lie inside it — in pre-order, left to right. *)

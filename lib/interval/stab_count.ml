@@ -10,8 +10,6 @@ type t = {
 
 let name = "stab-count"
 
-let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k)
-
 let build elems =
   let n = Array.length elems in
   let endpoints = Array.make (2 * n) 0. in
@@ -21,23 +19,15 @@ let build elems =
       endpoints.((2 * i) + 1) <- itv.Interval.hi)
     elems;
   let slabs = Slabs.of_endpoints endpoints in
-  let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
+  let leaves = Slabs.leaves slabs in
   let counts = Array.make (2 * leaves) 0 in
-  let assign (itv : Interval.t) =
-    let l = Slabs.slab_of_coord slabs itv.Interval.lo in
-    let r = Slabs.slab_of_coord slabs itv.Interval.hi in
-    let rec go node node_lo node_hi =
-      if l <= node_lo && r >= node_hi - 1 then
-        counts.(node) <- counts.(node) + 1
-      else begin
-        let mid = (node_lo + node_hi) / 2 in
-        if l < mid then go (2 * node) node_lo mid;
-        if r >= mid then go ((2 * node) + 1) mid node_hi
-      end
-    in
-    go 1 0 leaves
-  in
-  Array.iter assign elems;
+  Array.iter
+    (fun (itv : Interval.t) ->
+      Slabs.iter_canonical ~leaves
+        (Slabs.slab_of_coord slabs itv.Interval.lo)
+        (Slabs.slab_of_coord slabs itv.Interval.hi)
+        (fun node -> counts.(node) <- counts.(node) + 1))
+    elems;
   { slabs; counts; leaves; n }
 
 let size t = t.n

@@ -87,13 +87,29 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
+(* Geometric skip-sampling: the gap to the next kept index is
+   floor (log u / log (1 - p)) for u uniform in (0, 1], which is
+   Geometric(p), so every index is still kept independently with
+   probability [p], with one draw per kept element plus one.  The gap
+   is compared as a float against what is left of the array, so a huge
+   (or NaN) gap from a tiny [p] ends the scan instead of overflowing
+   [int_of_float]. *)
 let sample t ~p arr =
   if p >= 1. then Array.copy arr
   else if p <= 0. then [||]
   else begin
+    let n = Array.length arr in
+    let log_q = Float.log1p (-.p) in
     let kept = ref [] in
-    for i = Array.length arr - 1 downto 0 do
-      if bernoulli t p then kept := arr.(i) :: !kept
+    let i = ref (-1) in
+    let continue = ref true in
+    while !continue do
+      let gap = Float.log (1. -. uniform t) /. log_q in
+      if gap < float_of_int (n - 1 - !i) then begin
+        i := !i + 1 + int_of_float gap;
+        kept := arr.(!i) :: !kept
+      end
+      else continue := false
     done;
-    Array.of_list !kept
+    Array.of_list (List.rev !kept)
   end

@@ -40,7 +40,14 @@ val shuffle : t -> 'a array -> unit
 
 val sample : t -> p:float -> 'a array -> 'a array
 (** [sample t ~p arr] keeps each element independently with probability
-    [p] — the p-sample of Section 3.1. *)
+    [p] — the p-sample of Section 3.1 — in increasing index order.  It
+    skips geometrically distributed gaps rather than flipping a coin
+    per element, so it makes [O(pn + 1)] draws on [n] elements; for
+    the same seed it therefore keeps different elements than the
+    earlier one-draw-per-element version did.  [p >= 1] copies the
+    array and [p <= 0] keeps nothing, both without drawing; a NaN [p]
+    keeps nothing, and a tiny positive one usually stops after one
+    draw, when the first gap already passes the end of the array. *)
 
 val mix64 : int64 -> int64
 (** The splitmix64 finalizer applied to [x + golden]: a stateless

@@ -173,6 +173,76 @@ let prop_enclosure_agree =
             [ 1; 5; n / 2 ])
         qs)
 
+(* --- Xtree equivalence with the list-based build --- *)
+
+(* Xtree's build before the shared canonical walk: each rectangle is
+   consed onto its canonical nodes in input order, so [make_node] sees
+   every node's rectangles in reverse input order. *)
+let reference_xtree_paths rects probes =
+  let module Slabs = Topk_interval.Slabs in
+  let slabs =
+    Slabs.of_endpoints
+      (Array.append
+         (Array.map (fun (r : R.t) -> r.R.x1) rects)
+         (Array.map (fun (r : R.t) -> r.R.x2) rects))
+  in
+  let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k) in
+  let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
+  let lists = Array.make (2 * leaves) [] in
+  Array.iter
+    (fun (r : R.t) ->
+      let l = Slabs.slab_of_coord slabs r.R.x1 in
+      let hi = Slabs.slab_of_coord slabs r.R.x2 in
+      let rec go node node_lo node_hi =
+        if l <= node_lo && hi >= node_hi - 1 then lists.(node) <- r :: lists.(node)
+        else begin
+          let mid = (node_lo + node_hi) / 2 in
+          if l < mid then go (2 * node) node_lo mid;
+          if hi >= mid then go ((2 * node) + 1) mid node_hi
+        end
+      in
+      go 1 0 leaves)
+    rects;
+  List.map
+    (fun x ->
+      Topk_em.Stats.measure (fun () ->
+          let acc = ref [] in
+          let node = ref (leaves + Slabs.slab_of_point slabs x) in
+          while !node >= 1 do
+            Topk_em.Stats.charge_ios 1;
+            if lists.(!node) <> [] then acc := ids lists.(!node) :: !acc;
+            node := !node / 2
+          done;
+          List.rev !acc))
+    probes
+
+let prop_xtree_matches_list_build =
+  QCheck.Test.make ~count:200 ~name:"xtree equals the list-based build"
+    QCheck.(pair (int_bound 100_000) (int_bound 30))
+    (fun (seed, raw_n) ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun n ->
+          let coord () = float_of_int (Rng.int rng 6) in
+          let rects =
+            Array.init n (fun i ->
+                let a = coord () and b = coord () in
+                R.make ~id:(i + 1) ~x1:(Float.min a b) ~x2:(Float.max a b)
+                  ~y1:0. ~y2:1. ~weight:(Rng.uniform rng) ())
+          in
+          let tree = Topk_enclosure.Xtree.build ~make_node:Fun.id rects in
+          let probes = List.init 13 (fun i -> (float_of_int i /. 2.) -. 0.5) in
+          List.map
+            (fun x ->
+              Topk_em.Stats.measure (fun () ->
+                  let acc = ref [] in
+                  Topk_enclosure.Xtree.visit_path tree x (fun node ->
+                      acc := ids (Array.to_list node) :: !acc);
+                  List.rev !acc))
+            probes
+          = reference_xtree_paths rects probes)
+        [ 0; 1; raw_n ])
+
 let () =
   Alcotest.run "topk_enclosure"
     [
@@ -196,5 +266,6 @@ let () =
           Alcotest.test_case "match oracle" `Slow test_reductions_match_oracle;
           Alcotest.test_case "dating-site query" `Quick test_dating_site_shape;
           QCheck_alcotest.to_alcotest prop_enclosure_agree;
+          QCheck_alcotest.to_alcotest prop_xtree_matches_list_build;
         ] );
     ]

@@ -368,6 +368,182 @@ let prop_reductions_agree =
             ks)
         qs)
 
+(* --- Equivalence with the list-based segment-tree build --- *)
+
+(* The build Seg_stab and Stab_count used before the flat layout: each
+   interval is consed onto its canonical nodes, then every node's list
+   is sorted by decreasing weight.  It is the reference the current
+   builds must reproduce node for node, charge for charge. *)
+module Ref_tree = struct
+  module Slabs = Topk_interval.Slabs
+  module Stats = Topk_em.Stats
+
+  type t = { slabs : Slabs.t; lists : I.t array array; leaves : int }
+
+  let rec next_pow2 x k = if k >= x then k else next_pow2 x (2 * k)
+
+  let build elems =
+    let slabs =
+      Slabs.of_endpoints
+        (Array.append
+           (Array.map (fun (e : I.t) -> e.I.lo) elems)
+           (Array.map (fun (e : I.t) -> e.I.hi) elems))
+    in
+    let leaves = next_pow2 (max 1 (Slabs.slab_count slabs)) 1 in
+    let lists = Array.make (2 * leaves) [] in
+    Array.iter
+      (fun (itv : I.t) ->
+        let l = Slabs.slab_of_coord slabs itv.I.lo in
+        let r = Slabs.slab_of_coord slabs itv.I.hi in
+        let rec go node node_lo node_hi =
+          if l <= node_lo && r >= node_hi - 1 then
+            lists.(node) <- itv :: lists.(node)
+          else begin
+            let mid = (node_lo + node_hi) / 2 in
+            if l < mid then go (2 * node) node_lo mid;
+            if r >= mid then go ((2 * node) + 1) mid node_hi
+          end
+        in
+        go 1 0 leaves)
+      elems;
+    let lists =
+      Array.map
+        (fun l ->
+          let a = Array.of_list l in
+          Array.sort (fun a b -> I.compare_weight b a) a;
+          a)
+        lists
+    in
+    { slabs; lists; leaves }
+
+  let space_words t =
+    Slabs.space_words t.slabs
+    + Array.fold_left (fun acc l -> acc + Array.length l) 0 t.lists
+    + Array.length t.lists
+
+  let path t q f =
+    let node = ref (t.leaves + Slabs.slab_of_point t.slabs q) in
+    while !node >= 1 do
+      Stats.charge_ios 1;
+      f t.lists.(!node);
+      node := !node / 2
+    done
+
+  let visit t q ~tau f =
+    path t q (fun lst ->
+        try
+          Array.iter
+            (fun (itv : I.t) ->
+              if itv.I.weight < tau then raise Exit;
+              Stats.charge_scan 1;
+              f itv)
+            lst
+        with Exit -> ())
+
+  let count t q =
+    let total = ref 0 in
+    path t q (fun lst -> total := !total + Array.length lst);
+    !total
+end
+
+(* Coordinates with duplicates, signed zeros and infinities. *)
+let coord_pool = [| neg_infinity; -1.; -0.; 0.; 0.5; 1.; 2.; infinity |]
+
+let pool_coord rng =
+  if Rng.bool rng then coord_pool.(Rng.int rng (Array.length coord_pool))
+  else Float.round (Rng.float rng 8.) /. 2.
+
+let pool_intervals rng n =
+  Array.init n (fun i ->
+      let a = pool_coord rng and b = pool_coord rng in
+      let lo, hi = if Rng.int rng 5 = 0 then (a, a) else (Float.min a b, Float.max a b) in
+      mk ~id:(i + 1) ~lo ~hi ~w:(float_of_int (Rng.int rng 4)) ())
+
+(* A point in every slab: each coordinate, one point strictly inside
+   every gap that has one, and NaN. *)
+let slab_probes (elems : I.t array) =
+  let coords =
+    Array.append
+      (Array.map (fun (e : I.t) -> e.I.lo) elems)
+      (Array.map (fun (e : I.t) -> e.I.hi) elems)
+  in
+  Array.sort Float.compare coords;
+  let m = Array.length coords in
+  let gaps =
+    List.init (m + 1) (fun i ->
+        if m = 0 then [ 0. ]
+        else if i = 0 then [ coords.(0) -. 1. ]
+        else if i = m then [ coords.(m - 1) +. 1. ]
+        else [ (coords.(i - 1) /. 2.) +. (coords.(i) /. 2.) ])
+  in
+  Array.to_list coords @ List.concat gaps @ [ neg_infinity; infinity; Float.nan ]
+
+let median_weight (elems : I.t array) =
+  if elems = [||] then 0.
+  else begin
+    let ws = Array.map (fun (e : I.t) -> e.I.weight) elems in
+    Array.sort Float.compare ws;
+    ws.(Array.length ws / 2)
+  end
+
+let prop_seg_stab_matches_list_build =
+  QCheck.Test.make ~count:200
+    ~name:"seg_stab and stab_count equal the list-based build"
+    QCheck.(pair (int_bound 100_000) (int_bound 40))
+    (fun (seed, raw_n) ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun n ->
+          let elems = pool_intervals rng n in
+          let seg = Seg.build elems in
+          let cnt = Topk_interval.Stab_count.build elems in
+          let reference = Ref_tree.build elems in
+          let collect visit = Topk_em.Stats.measure (fun () ->
+              let acc = ref [] in
+              visit (fun (e : I.t) -> acc := e.I.id :: !acc);
+              List.rev !acc)
+          in
+          Seg.space_words seg = Ref_tree.space_words reference
+          && List.for_all
+               (fun q ->
+                 Topk_em.Stats.measure (fun () -> Topk_interval.Stab_count.count cnt q)
+                 = Topk_em.Stats.measure (fun () -> Ref_tree.count reference q)
+                 && List.for_all
+                      (fun tau ->
+                        collect (Seg.visit seg q ~tau)
+                        = collect (Ref_tree.visit reference q ~tau))
+                      [ neg_infinity; median_weight elems; infinity ])
+               (slab_probes elems))
+        [ 0; 1; raw_n ])
+
+let prop_slabs_match_sorted_dedupe =
+  QCheck.Test.make ~count:200
+    ~name:"of_endpoints equals Float.compare sort plus dedupe"
+    QCheck.(pair (int_bound 100_000) (int_bound 300))
+    (fun (seed, m) ->
+      let module Slabs = Topk_interval.Slabs in
+      let rng = Rng.create seed in
+      let raw = Array.init m (fun _ -> pool_coord rng) in
+      let sorted = Array.copy raw in
+      Array.sort Float.compare sorted;
+      let distinct =
+        Array.of_list
+          (Array.fold_right
+             (fun x acc -> match acc with y :: _ when x = y -> acc | _ -> x :: acc)
+             sorted [])
+      in
+      let s = Slabs.of_endpoints raw in
+      let slab_of_point q =
+        let i = Topk_util.Search.lower_bound ~cmp:Float.compare distinct q in
+        if i < Array.length distinct && distinct.(i) = q then (2 * i) + 1 else 2 * i
+      in
+      Slabs.coord_count s = Array.length distinct
+      && Array.for_all Fun.id
+           (Array.mapi (fun i c -> Slabs.slab_of_coord s c = (2 * i) + 1) distinct)
+      && List.for_all
+           (fun q -> Slabs.slab_of_point s q = slab_of_point q)
+           (Array.to_list coord_pool @ List.init 20 (fun _ -> Rng.float rng 6. -. 2.)))
+
 let () =
   Alcotest.run "topk_interval"
     [
@@ -382,6 +558,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_slabs_structure;
           QCheck_alcotest.to_alcotest prop_slabs_monotone;
+          QCheck_alcotest.to_alcotest prop_slabs_match_sorted_dedupe;
         ] );
       ( "seg_stab",
         [
@@ -392,6 +569,7 @@ let () =
           Alcotest.test_case "monitored" `Quick test_seg_stab_monitored;
           Alcotest.test_case "empty and single" `Quick
             test_seg_stab_empty_and_single;
+          QCheck_alcotest.to_alcotest prop_seg_stab_matches_list_build;
         ] );
       ( "itree_pri",
         [

@@ -151,6 +151,91 @@ let test_rng_sample_rate () =
   Alcotest.(check int) "p=0 keeps none" 0
     (Array.length (Rng.sample rng ~p:0. arr))
 
+let prop_sample_increasing =
+  QCheck.Test.make ~count:300 ~name:"sample keeps increasing indices"
+    QCheck.(triple (int_bound 100_000) (int_bound 2_000) (float_bound_inclusive 1.))
+    (fun (seed, n, p) ->
+      let s = Rng.sample (Rng.create seed) ~p (Array.init n Fun.id) in
+      let ok = ref (Array.for_all (fun i -> i >= 0 && i < n) s) in
+      for i = 1 to Array.length s - 1 do
+        if s.(i - 1) >= s.(i) then ok := false
+      done;
+      !ok)
+
+let test_rng_sample_keep_rate () =
+  let n = 200_000 in
+  let arr = Array.init n Fun.id in
+  List.iteri
+    (fun j p ->
+      let m = Array.length (Rng.sample (Rng.create (31 + j)) ~p arr) in
+      let mean = p *. float_of_int n in
+      let sigma = sqrt (mean *. (1. -. p)) in
+      if Float.abs (float_of_int m -. mean) > 4. *. sigma then
+        Alcotest.failf "p=%g: kept %d, expected %.0f +- 4 * %.1f" p m mean sigma)
+    [ 0.001; 0.01; 0.1; 0.5 ]
+
+(* Upper [1 - alpha] quantile of chi-squared with [df] degrees of
+   freedom, by the Wilson-Hilferty cube approximation; z = 3.09 is
+   alpha = 0.001. *)
+let chi2_critical df =
+  let d = float_of_int df in
+  let c = 2. /. (9. *. d) in
+  d *. ((1. -. c +. (3.09 *. sqrt c)) ** 3.)
+
+let test_rng_sample_geometric_gaps () =
+  let n = 1_000_000 in
+  let arr = Array.init n Fun.id in
+  List.iteri
+    (fun j p ->
+      let s = Rng.sample (Rng.create (41 + j)) ~p arr in
+      let total = float_of_int (Array.length s) in
+      let q = 1. -. p in
+      (* P(gap >= g) = q^g.  Bins [edges.(b), edges.(b+1)) grow until each
+         expects >= 20 gaps; the last bin is the tail. *)
+      let survival g = q ** float_of_int g in
+      let edges = ref [ 0 ] and lo = ref 0 and hi = ref 0 in
+      while total *. survival !lo >= 40. do
+        while total *. (survival !lo -. survival !hi) < 20. do incr hi done;
+        edges := !hi :: !edges;
+        lo := !hi
+      done;
+      let edges = Array.of_list (List.rev !edges) in
+      let bins = Array.length edges in
+      let bin_of g =
+        let b = ref 0 in
+        while !b + 1 < bins && g >= edges.(!b + 1) do incr b done;
+        !b
+      in
+      let observed = Array.make bins 0 in
+      Array.iteri
+        (fun i x ->
+          let b = bin_of (if i = 0 then x else x - s.(i - 1) - 1) in
+          observed.(b) <- observed.(b) + 1)
+        s;
+      let chi2 = ref 0. in
+      Array.iteri
+        (fun b o ->
+          let upper = if b + 1 < bins then survival edges.(b + 1) else 0. in
+          let e = total *. (survival edges.(b) -. upper) in
+          chi2 := !chi2 +. (((float_of_int o -. e) ** 2.) /. e))
+        observed;
+      let critical = chi2_critical (bins - 1) in
+      if bins < 3 || !chi2 > critical then
+        Alcotest.failf "p=%g: gap chi2 %.1f over %d bins exceeds %.1f" p !chi2
+          bins critical)
+    [ 0.001; 0.01; 0.1; 0.5 ]
+
+let test_rng_sample_tiny_p () =
+  let arr = Array.init 1_000 Fun.id in
+  List.iter
+    (fun p ->
+      let rng = Rng.create 53 in
+      let s = Rng.sample rng ~p arr in
+      Alcotest.(check bool) (Printf.sprintf "p=%g keeps nothing" p) true (s = [||]))
+    [ 1e-15; 1e-300; Float.min_float; 4.9e-324; Float.nan; neg_infinity ];
+  Alcotest.(check int) "p just below 1 keeps all" 1_000
+    (Array.length (Rng.sample (Rng.create 59) ~p:(1. -. epsilon_float) arr))
+
 (* --- Heap --- *)
 
 let test_heap_sorts () =
@@ -410,6 +495,11 @@ let () =
           Alcotest.test_case "int uniform" `Slow test_rng_int_roughly_uniform;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "sample rate" `Quick test_rng_sample_rate;
+          QCheck_alcotest.to_alcotest prop_sample_increasing;
+          Alcotest.test_case "sample keep rate" `Quick test_rng_sample_keep_rate;
+          Alcotest.test_case "sample geometric gaps" `Quick
+            test_rng_sample_geometric_gaps;
+          Alcotest.test_case "sample tiny p" `Quick test_rng_sample_tiny_p;
           Alcotest.test_case "raw seed-compat" `Quick test_raw_seed_compat;
           Alcotest.test_case "raw reseed" `Quick test_raw_reseed;
         ] );
